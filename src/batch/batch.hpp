@@ -7,8 +7,8 @@
 // packs up to kMaxBatchCommands encoded commands into one frame, signs the
 // batch *digest* once, and the whole signed frame travels through the
 // engines as a single lattice value. Verification is one signature check
-// per batch instead of one per command, and the digest keys the
-// verified-digest cache (verifier.hpp) so re-presentations of the same
+// per batch instead of one per command, and the body store's verify-once
+// memo (verifier.hpp) keys on the digest, so re-presentations of the same
 // batch — client retransmits, values echoed across refinement rounds —
 // are never re-verified.
 //
@@ -67,7 +67,7 @@ struct SignedCommandBatch {
 [[nodiscard]] wire::Bytes batch_body(const SignedCommandBatch& b);
 
 /// SHA-256 over a domain separator plus the body. This is what the
-/// proposer signs and what the verified-digest cache is keyed on.
+/// proposer signs, so also what the verify-once memo keys on.
 [[nodiscard]] crypto::Sha256::Digest batch_digest(const SignedCommandBatch& b);
 
 /// Wire codec. decode throws wire::WireError on any malformed input:

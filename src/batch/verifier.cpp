@@ -6,11 +6,9 @@
 namespace bla::batch {
 
 BatchVerifier::BatchVerifier(std::shared_ptr<const crypto::ISigner> verifier,
-                             std::shared_ptr<store::BodyStore> store,
-                             std::size_t max_cache_entries)
+                             std::shared_ptr<store::BodyStore> store)
     : verifier_(std::move(verifier)),
-      store_(std::move(store)),
-      max_cache_entries_(max_cache_entries) {
+      store_(store ? std::move(store) : std::make_shared<store::BodyStore>()) {
   if (!verifier_) {
     throw std::invalid_argument("BatchVerifier requires a signing handle");
   }
@@ -24,35 +22,17 @@ bool BatchVerifier::verify(const SignedCommandBatch& b) {
     ++rejected_;
     return false;
   }
-
-  const crypto::Sha256::Digest digest = batch_digest(b);
-  // The cache key covers the signature bytes as well as the body
-  // digest. Keying on the body alone would let one genuinely signed
-  // batch whitelist every (body, garbage-signature) variant — and since
-  // the signature travels inside the batch's lattice value, each
-  // variant would mint a distinct decided value from a single
-  // signature. With the signature in the key, a mutated signature
-  // misses the cache and fails the fresh check below.
-  crypto::Sha256 key_hash;
-  key_hash.update(digest);
-  key_hash.update(b.signature);
-  const crypto::Sha256::Digest cache_key = key_hash.finish();
-  const bool hit = store_ ? store_->verified_contains(cache_key)
-                          : verified_.contains(cache_key);
-  if (hit) {
+  using Verdict = store::BodyStore::Verdict;
+  const Verdict verdict =
+      store_->verify(*verifier_, b.proposer, batch_digest(b), b.signature);
+  if (verdict == Verdict::kCached) {
     ++cache_hits_;
     return true;
   }
   ++signature_checks_;
-  if (!verifier_->verify(b.proposer, digest, b.signature)) {
+  if (verdict == Verdict::kRejected) {
     ++rejected_;
     return false;
-  }
-  if (store_) {
-    store_->verified_insert(cache_key, max_cache_entries_);
-  } else {
-    if (verified_.size() >= max_cache_entries_) verified_.clear();
-    verified_.insert(cache_key);
   }
   return true;
 }

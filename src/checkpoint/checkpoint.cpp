@@ -331,10 +331,9 @@ void CheckpointManager::on_pull(NodeId from, wire::Decoder& dec) {
 void CheckpointManager::on_snapshot(NodeId /*from*/, wire::Decoder& dec) {
   const Digest root = read_digest(dec);
   const auto it = pending_.find(root);
-  if (it == pending_.end()) {
-    dec.expect_done();  // unsolicited (or already adopted); drop
-    return;
-  }
+  // Unsolicited, or a late/duplicate reply for a root already adopted:
+  // drop it unparsed — it is neither an error nor evidence of one.
+  if (it == pending_.end()) return;
   PendingRoot& st = it->second;
   st.outstanding = false;
   const std::uint8_t found = dec.u8();

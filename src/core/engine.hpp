@@ -88,7 +88,7 @@ struct EngineConfig {
   /// false = full-frame dissemination (the bytes/command bench baseline).
   bool digest_refs = true;
   /// Shared content-addressed body store. The RSM replica passes its own
-  /// (also backing the BatchVerifier cache); engines create one when null.
+  /// (also holding the verify-once memo); engines create one when null.
   std::shared_ptr<store::BodyStore> store;
   /// Observability registry threaded down to the engine (and through it
   /// to RBC / fetcher). Engines create a private one when null.

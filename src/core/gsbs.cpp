@@ -228,6 +228,7 @@ GsbsProcess::GsbsProcess(GsbsConfig config,
   obs_decisions_ = registry_->counter(p + "decisions");
   obs_refinements_ = registry_->counter(p + "refinements");
   obs_sig_checks_ = registry_->counter(p + "sig_checks");
+  obs_sig_cache_hits_ = registry_->counter(p + "sig_cache_hits");
   obs_retries_ = registry_->counter(p + "retries");
 }
 
@@ -298,10 +299,25 @@ crypto::Sha256::Digest GsbsProcess::proposal_digest(
 // Validation.
 // ---------------------------------------------------------------------------
 
+bool GsbsProcess::check_signature(NodeId signer, wire::BytesView message,
+                                  wire::BytesView signature) const {
+  // The cumulative proposal re-presents every batch and safe-ack proof on
+  // each ack-req, nack and certificate; the replica's verify-once memo
+  // turns all but the first sighting into a hash and a lookup.
+  using Verdict = store::BodyStore::Verdict;
+  const Verdict verdict =
+      store_->verify(*signer_, signer, message, signature);
+  if (verdict == Verdict::kCached) {
+    obs_sig_cache_hits_.inc();
+    return true;
+  }
+  obs_sig_checks_.inc();
+  return verdict == Verdict::kVerified;
+}
+
 bool GsbsProcess::verify_signed_batch(const SignedBatch& sb) const {
   if (sb.signer >= config_.n) return false;
-  obs_sig_checks_.inc();
-  return signer_->verify(sb.signer, batch_signing_bytes(sb), sb.signature);
+  return check_signature(sb.signer, batch_signing_bytes(sb), sb.signature);
 }
 
 bool GsbsProcess::verify_conflict_pair(
@@ -317,8 +333,7 @@ bool GsbsProcess::verify_conflict_pair(
 
 bool GsbsProcess::verify_batch_safe_ack(const BatchSafeAck& ack) const {
   if (ack.acceptor >= config_.n) return false;
-  obs_sig_checks_.inc();
-  if (!signer_->verify(ack.acceptor, safe_ack_signing_bytes(ack),
+  if (!check_signature(ack.acceptor, safe_ack_signing_bytes(ack),
                        ack.signature)) {
     return false;
   }
@@ -360,8 +375,7 @@ bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
     if (!senders.insert(ack.acceptor).second) return false;
     if (ack.round != cert.round || ack.ts != cert.ts) return false;
     if (ack.digest != digest) return false;
-    obs_sig_checks_.inc();
-    if (!signer_->verify(ack.acceptor, ack_signing_bytes(ack),
+    if (!check_signature(ack.acceptor, ack_signing_bytes(ack),
                          ack.signature)) {
       return false;
     }
@@ -910,8 +924,7 @@ void GsbsProcess::on_ack(NodeId from, wire::Decoder& dec) {
   dec.expect_done();
   if (ack.acceptor != from || ack.ts != ts_ || ack.round != round_) return;
   if (ack.digest != proposal_digest(proposed_)) return;
-  obs_sig_checks_.inc();
-  if (!signer_->verify(from, ack_signing_bytes(ack), ack.signature)) return;
+  if (!check_signature(from, ack_signing_bytes(ack), ack.signature)) return;
   if (!ack_senders_.insert(from).second) return;
   note_progress();
   collected_acks_.push_back(std::move(ack));

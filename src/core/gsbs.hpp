@@ -105,10 +105,9 @@ struct GsbsConfig {
   /// Shared content-addressed body store (created internally when null).
   std::shared_ptr<store::BodyStore> store;
   /// Observability registry shared down through the fetcher; engine
-  /// counters register as "node<self>/gsbs/*" — including sig_checks,
-  /// the signature-verification tally ROADMAP item 4 (crypto off the
-  /// critical path) needs for its before/after. Created internally when
-  /// null.
+  /// counters register as "node<self>/gsbs/*" — including sig_checks
+  /// (real signature verifications) and sig_cache_hits (checks answered
+  /// by the store's verify-once memo). Created internally when null.
   std::shared_ptr<obs::Registry> registry;
   /// Opt-in lossy-link recovery (see core::RecoveryConfig). Default off.
   RecoveryConfig recovery;
@@ -183,6 +182,10 @@ private:
       const ProposalMap& proposal) const;
 
   // -- validation -----------------------------------------------------------
+  /// Every signature check of the engine: through the store's
+  /// verify-once memo, counted as a real check or a memo hit.
+  [[nodiscard]] bool check_signature(NodeId signer, wire::BytesView message,
+                                     wire::BytesView signature) const;
   [[nodiscard]] bool verify_signed_batch(const SignedBatch& sb) const;
   [[nodiscard]] bool verify_conflict_pair(
       const std::pair<SignedBatch, SignedBatch>& pair) const;
@@ -260,8 +263,10 @@ private:
   obs::Counter obs_rounds_;
   obs::Counter obs_decisions_;
   obs::Counter obs_refinements_;
-  /// Every signer_->verify call — the ROADMAP item 4 bottleneck metric.
+  /// Real signature verifications only (verify-once memo misses,
+  /// accepted or not); memo hits count in obs_sig_cache_hits_.
   obs::Counter obs_sig_checks_;
+  obs::Counter obs_sig_cache_hits_;
   obs::Counter obs_retries_;  // stall-recovery passes run
 
   // Recovery state (unused unless config_.recovery.enabled).

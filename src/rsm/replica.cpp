@@ -28,9 +28,9 @@ RsmReplica::RsmReplica(ReplicaConfig config)
   const std::string p = "node" + std::to_string(config_.self) + "/rsm/";
   batches_admitted_ = registry_->counter(p + "batches_admitted");
   batches_rejected_ = registry_->counter(p + "batches_rejected");
-  // The verifier shares the replica-wide store: its verified-digest
-  // cache and the dissemination layer's bodies live together, so each
-  // batch body is stored and signature-checked once per replica.
+  // The verifier shares the replica-wide store with the engine: one
+  // verify-once memo for the whole replica, so each batch body is stored
+  // and signature-checked once per replica.
   if (config_.signer) verifier_.emplace(config_.signer, store_);
 }
 
@@ -125,7 +125,7 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
   }
   // Lemma 12 admissibility, amortized: every command must still be
   // well-formed, but the signature work was one check for the whole
-  // batch (and zero on a verified-digest cache hit).
+  // batch (and zero on a verify-once memo hit).
   for (const Value& command : b.commands) {
     if (!decode_command(command).has_value()) {
       ++batches_rejected_;
@@ -138,7 +138,7 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
   // many byte-distinct frame spellings, and submitting raw frames would
   // let a Byzantine client mint arbitrarily many duplicate lattice
   // values from a single signature. Canonicalizing collapses every
-  // spelling to one value (and one verified-digest cache entry).
+  // spelling to one value (and one verify-once memo entry).
   Value value = batch::batch_value(b);
   registry_->trace_event(config_.self, obs::EventKind::kPropose,
                          obs::id64(store::body_digest(value)),

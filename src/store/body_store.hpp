@@ -14,10 +14,11 @@
 // The store is shared across layers of one process: Bracha parks whole
 // RBC payload bodies here (ECHO/READY carry payload digests), the engines
 // park lattice-value bodies (ack/safe-ack/certificate references), and
-// BatchVerifier keeps its verified-digest cache here so a body is
-// signature-checked exactly once per replica no matter which layer saw it
-// first. A mutex makes it safe to share across the replica's handler
-// thread and any observer threads (the thread-network bench polls stats).
+// every signature check (BatchVerifier, the GSbS engine) goes through the
+// store's verify-once memo, so a signature is checked exactly once per
+// replica no matter which layer saw it first. A mutex makes it safe to
+// share across the replica's handler thread and any observer threads (the
+// thread-network bench polls stats).
 //
 // GC: the checkpoint subsystem (src/checkpoint/) evicts bodies covered
 // by a committed checkpoint via erase() and installs a fallback with
@@ -32,6 +33,7 @@
 #include <set>
 
 #include "crypto/sha256.hpp"
+#include "crypto/signer.hpp"
 #include "wire/wire.hpp"
 
 namespace bla::store {
@@ -127,24 +129,50 @@ public:
     return total_bytes_;
   }
 
-  // -- verified-digest cache (merged from BatchVerifier) -------------------
-  // Keys are whatever the verifying layer uses (BatchVerifier hashes
-  // batch digest + signature bytes); the store only provides the bounded
-  // set. Bounded: cleared on overflow — re-verification is correct, just
-  // slower — so Byzantine floods cannot grow it without bound.
+  // -- verify-once memo -------------------------------------------------------
+  // Every signature check of a replica (BatchVerifier's client batches,
+  // the GSbS engine's batches, safe-acks and acks) goes through verify(),
+  // so one (signer, message, signature) triple reaches the real verifier
+  // at most once per replica. The key is SHA-256 over exactly what the
+  // check depends on — u32 signer ‖ length-prefixed message ‖ signature —
+  // so a hit is as strong as a fresh check: a changed body, signer or
+  // signature misses and is verified for real. Only successes are kept.
+  // Bounded: cleared on overflow (re-verification is correct, just
+  // slower), so a flood of validly signed Byzantine messages cannot grow
+  // it without bound.
 
-  [[nodiscard]] bool verified_contains(const Digest& key) const {
-    std::lock_guard lock(mutex_);
-    return verified_.contains(key);
-  }
+  enum class Verdict : std::uint8_t { kRejected, kVerified, kCached };
 
-  void verified_insert(const Digest& key, std::size_t max_entries) {
+  [[nodiscard]] Verdict verify(const crypto::ISigner& verifier,
+                               crypto::NodeId signer,
+                               wire::BytesView message,
+                               wire::BytesView signature) {
+    wire::Encoder prefix;
+    prefix.u32(signer);
+    prefix.u64(message.size());
+    crypto::Sha256 h;
+    h.update(prefix.view());
+    h.update(message);
+    h.update(signature);
+    const Digest key = h.finish();
+    {
+      std::lock_guard lock(mutex_);
+      if (verified_.contains(key)) return Verdict::kCached;
+    }
+    // The real check runs outside the mutex: it is the slow part, and
+    // observer threads must not wait on it.
+    if (!verifier.verify(signer, message, signature)) {
+      return Verdict::kRejected;
+    }
     std::lock_guard lock(mutex_);
-    if (verified_.size() >= max_entries) verified_.clear();
+    if (verified_.size() >= kMaxVerified) verified_.clear();
     verified_.insert(key);
+    return Verdict::kVerified;
   }
 
 private:
+  static constexpr std::size_t kMaxVerified = std::size_t{1} << 16;
+
   mutable std::mutex mutex_;
   std::map<Digest, std::shared_ptr<const wire::Bytes>> bodies_;
   std::set<Digest> verified_;

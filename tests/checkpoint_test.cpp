@@ -362,5 +362,77 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
   EXPECT_EQ(testutil::check_gla_comparability(chains), "");
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot replies: a reply for a root that is no longer pending is not a
+// reject; a malformed reply for a pending root still is.
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointSnapshotReplies, LateDuplicateIsDroppedMalformedIsCounted) {
+  const auto registry = std::make_shared<obs::Registry>();
+  std::vector<wire::Bytes> to_provider;
+  std::vector<wire::Bytes> to_laggard;
+
+  checkpoint::Config provider_cfg;
+  provider_cfg.self = 1;
+  provider_cfg.n = 4;
+  provider_cfg.f = 1;
+  provider_cfg.interval = 1;
+  provider_cfg.registry = registry;
+  checkpoint::CheckpointManager provider(
+      provider_cfg,
+      [&](net::NodeId, wire::Bytes b) { to_laggard.push_back(std::move(b)); });
+
+  checkpoint::Config laggard_cfg = provider_cfg;
+  laggard_cfg.self = 0;
+  // Every element is known locally, so a verified snapshot adopts at once.
+  laggard_cfg.element_known = [](const core::Value&) { return true; };
+  checkpoint::CheckpointManager laggard(
+      laggard_cfg,
+      [&](net::NodeId, wire::Bytes b) { to_provider.push_back(std::move(b)); });
+
+  const auto deliver = [](checkpoint::CheckpointManager& to,
+                          net::NodeId from, const wire::Bytes& frame) {
+    wire::Decoder dec(frame);
+    const std::uint8_t type = dec.u8();
+    EXPECT_TRUE(to.handle(from, type, dec));
+  };
+  const auto rejects = [&] {
+    return node_counter(registry, 0, "checkpoint/snapshot_rejects");
+  };
+
+  core::ValueSet decided;
+  decided.insert(lattice::value_from("a"));
+  decided.insert(lattice::value_from("b"));
+  ASSERT_TRUE(provider.maybe_checkpoint(decided));
+  laggard.await_root(provider.latest().root, 1, nullptr);
+  ASSERT_EQ(to_provider.size(), 1u);  // the pull
+  deliver(provider, 0, to_provider[0]);
+  ASSERT_EQ(to_laggard.size(), 1u);  // the snapshot
+  deliver(laggard, 1, to_laggard[0]);
+  ASSERT_EQ(laggard.snapshots_adopted(), 1u);
+
+  // The same reply again — a duplicate, or the answer to a re-armed pull
+  // arriving after adoption — is dropped unparsed.
+  deliver(laggard, 1, to_laggard[0]);
+  deliver(laggard, 2, to_laggard[0]);
+  EXPECT_EQ(laggard.snapshots_adopted(), 1u);
+  EXPECT_EQ(rejects(), 0u);
+
+  // A malformed reply for a root that *is* pending still counts.
+  decided.insert(lattice::value_from("c"));
+  ASSERT_TRUE(provider.maybe_checkpoint(decided));
+  const checkpoint::Digest pending = provider.latest().root;
+  laggard.await_root(pending, 1, nullptr);
+  wire::Encoder bad;
+  bad.u8(static_cast<std::uint8_t>(checkpoint::MsgType::kCkptSnapshot));
+  bad.raw(std::span(pending.data(), pending.size()));
+  bad.u8(1);       // found
+  bad.uvarint(3);  // num_leaves
+  bad.uvarint(2);  // proof targets: must equal num_leaves
+  bad.uvarint(0);
+  deliver(laggard, 1, bad.take());
+  EXPECT_EQ(rejects(), 1u);
+}
+
 }  // namespace
 }  // namespace bla

@@ -5,26 +5,66 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/adversary.hpp"
 #include "core/gsbs.hpp"
 #include "net/delay_model.hpp"
+#include "obs/registry.hpp"
 #include "testutil/properties.hpp"
 #include "testutil/scenario.hpp"
 
 namespace bla::core {
 namespace {
 
+/// Signer decorator recording every (signer, message, signature) triple
+/// that reaches the real verifier, with its verdict.
+class CountingSigner final : public crypto::ISigner {
+public:
+  using Triple = std::tuple<NodeId, wire::Bytes, wire::Bytes>;
+
+  explicit CountingSigner(std::shared_ptr<const crypto::ISigner> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] NodeId id() const override { return inner_->id(); }
+  [[nodiscard]] wire::Bytes sign(wire::BytesView message) const override {
+    return inner_->sign(message);
+  }
+  [[nodiscard]] bool verify(NodeId signer, wire::BytesView message,
+                            wire::BytesView signature) const override {
+    const bool ok = inner_->verify(signer, message, signature);
+    ++calls;
+    const Triple triple{signer, wire::Bytes(message.begin(), message.end()),
+                        wire::Bytes(signature.begin(), signature.end())};
+    if (!verdicts.emplace(triple, ok).second) ++repeats;
+    return ok;
+  }
+
+  mutable std::uint64_t calls = 0;
+  mutable std::uint64_t repeats = 0;  // triples verified more than once
+  mutable std::map<Triple, bool> verdicts;
+
+private:
+  std::shared_ptr<const crypto::ISigner> inner_;
+};
+
 struct GsbsFixture {
   std::shared_ptr<crypto::ISignerSet> signers;
   net::SimNetwork net;
   std::vector<GsbsProcess*> correct;
+  std::vector<std::shared_ptr<const CountingSigner>> counters;  // per correct
   std::vector<std::vector<Value>> submitted;
 
   GsbsFixture(std::size_t n, std::size_t f, std::uint64_t rounds,
               std::uint64_t seed,
               testutil::AdversaryFactory adversary = nullptr,
               std::unique_ptr<net::IDelayModel> delay = nullptr,
-              std::uint64_t settle = 2)
+              std::uint64_t settle = 2,
+              std::shared_ptr<obs::Registry> registry = nullptr)
       : signers(crypto::make_hmac_signer_set(n, seed)),
         net({.seed = seed, .delay = std::move(delay)}) {
     for (net::NodeId id = 0; id < n; ++id) {
@@ -55,8 +95,12 @@ struct GsbsFixture {
       };
       auto feed = std::make_shared<Feed>();
       feed->values = mine;
+      GsbsConfig config{id, n, f, rounds + settle};
+      config.registry = registry;
+      auto counter = std::make_shared<CountingSigner>(signers->signer_for(id));
+      counters.push_back(counter);
       auto proc = std::make_unique<GsbsProcess>(
-          GsbsConfig{id, n, f, rounds + settle}, signers->signer_for(id),
+          std::move(config), counter,
           [feed](const GsbsProcess::Decision&) {
             if (feed->next < feed->values.size()) {
               feed->proc->submit(feed->values[feed->next++]);
@@ -77,6 +121,29 @@ struct GsbsFixture {
     return out;
   }
 };
+
+/// GSbS batch signing bytes (mirrors GsbsProcess::batch_signing_bytes).
+wire::Bytes batch_signing_bytes(NodeId signer, std::uint64_t round,
+                                const ValueSet& batch) {
+  wire::Encoder enc;
+  enc.str("gsbs-batch");
+  enc.u32(signer);
+  enc.u64(round);
+  lattice::encode_value_set(enc, batch);
+  return enc.take();
+}
+
+/// An inline kGsbsInit frame carrying `batch` under `signature`.
+wire::Bytes init_frame(NodeId signer, std::uint64_t round,
+                       const ValueSet& batch, const wire::Bytes& signature) {
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
+  enc.u32(signer);
+  enc.u64(round);
+  lattice::encode_value_set(enc, batch);
+  enc.bytes(signature);
+  return enc.take();
+}
 
 void check_gla_properties(GsbsFixture& fx, std::size_t f,
                           std::uint64_t rounds, std::uint64_t byz_budget) {
@@ -151,22 +218,11 @@ TEST(Gsbs, DoubleSigningBatchesIsNeutralized) {
 
     void on_start(net::IContext& ctx) override {
       auto make_init = [&](const char* text) {
-        wire::Encoder sig_bytes;
-        sig_bytes.str("gsbs-batch");
-        sig_bytes.u32(ctx.self());
-        sig_bytes.u64(0);
         ValueSet batch;
         batch.insert(lattice::value_from(text));
-        lattice::encode_value_set(sig_bytes, batch);
-        const wire::Bytes sig = signer_->sign(sig_bytes.view());
-
-        wire::Encoder enc;
-        enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
-        enc.u32(ctx.self());
-        enc.u64(0);
-        lattice::encode_value_set(enc, batch);
-        enc.bytes(sig);
-        return enc.take();
+        return init_frame(
+            ctx.self(), 0, batch,
+            signer_->sign(batch_signing_bytes(ctx.self(), 0, batch)));
       };
       const wire::Bytes init_a = make_init("equiv-A");
       const wire::Bytes init_b = make_init("equiv-B");
@@ -285,6 +341,112 @@ TEST(Gsbs, AsynchronousDelays) {
                  std::make_unique<net::ExponentialDelay>(1.0));
   fx.net.run();
   check_gla_properties(fx, 1, 2, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Verify-once: the cumulative proposal re-presents every batch and proof
+// on each ack-req, nack and certificate; the body store's memo must answer
+// all but the first sighting of each signature, and change nothing else.
+// ---------------------------------------------------------------------------
+
+TEST(GsbsVerifyOnce, NoTripleReachesTheVerifierTwice) {
+  const auto registry = std::make_shared<obs::Registry>();
+  GsbsFixture fx(4, 1, 4, 1, nullptr, nullptr, 2, registry);
+  fx.net.run();
+  check_gla_properties(fx, 1, 4, 1 * 6);
+
+  for (std::size_t i = 0; i < fx.correct.size(); ++i) {
+    const CountingSigner& counter = *fx.counters[i];
+    EXPECT_GT(counter.calls, 0u) << "node" << i;
+    EXPECT_EQ(counter.repeats, 0u) << "node" << i;
+    const std::string p = "node" + std::to_string(i) + "/gsbs/";
+    // sig_checks counts real verifications only; the memo's answers
+    // show up as sig_cache_hits.
+    EXPECT_EQ(registry->counter(p + "sig_checks").value(), counter.calls);
+    EXPECT_GT(registry->counter(p + "sig_cache_hits").value(),
+              counter.calls)
+        << "node" << i;
+  }
+
+  // A memo of a pure predicate's `true` results cannot change a decision:
+  // decided chains and traffic equal those of the run without the memo.
+  std::vector<std::vector<std::size_t>> chains;
+  for (const GsbsProcess* proc : fx.correct) {
+    EXPECT_EQ(proc->decided_set(), fx.correct_inputs());
+    std::vector<std::size_t> chain;
+    for (const auto& d : proc->decisions()) chain.push_back(d.set.size());
+    chains.push_back(chain);
+  }
+  const std::vector<std::vector<std::size_t>> expected_chains = {
+      {3, 6, 9, 12}, {3, 6, 9, 12}, {3, 6, 9, 12}};
+  EXPECT_EQ(chains, expected_chains);
+  EXPECT_EQ(fx.net.total_messages(), 396u);
+  EXPECT_EQ(fx.net.total_bytes(), 1172208u);
+}
+
+TEST(GsbsVerifyOnce, MutatedReplayOfCachedBatchIsVerifiedAndRejected) {
+  // Node 3 first broadcasts a genuinely signed INIT, which every correct
+  // replica verifies and memoises; a round trip later it replays that
+  // batch with one body byte flipped and, separately, one signature byte
+  // flipped. Neither may ride the memo: both must reach the real
+  // verifier and fail there.
+  constexpr NodeId kByz = 3;
+  auto signers = crypto::make_hmac_signer_set(4, 1);
+  ValueSet genuine;
+  genuine.insert(lattice::value_from("cached-batch"));
+  Value flipped_value = lattice::value_from("cached-batch");
+  flipped_value.back() ^= 0x01;
+  ValueSet flipped;
+  flipped.insert(flipped_value);
+  const wire::Bytes genuine_msg = batch_signing_bytes(kByz, 0, genuine);
+  const wire::Bytes flipped_msg = batch_signing_bytes(kByz, 0, flipped);
+  const wire::Bytes sig = signers->signer_for(kByz)->sign(genuine_msg);
+  wire::Bytes bad_sig = sig;
+  bad_sig[0] ^= 0x01;
+
+  class CachedBatchReplayer final : public net::IProcess {
+  public:
+    CachedBatchReplayer(wire::Bytes first, std::vector<wire::Bytes> replays)
+        : first_(std::move(first)), replays_(std::move(replays)) {}
+    void on_start(net::IContext& ctx) override { ctx.broadcast(first_); }
+    void on_message(net::IContext& ctx, NodeId, wire::BytesView) override {
+      // First traffic arrives with the genuine INIT already delivered.
+      if (replayed_) return;
+      replayed_ = true;
+      for (const wire::Bytes& frame : replays_) ctx.broadcast(frame);
+    }
+
+  private:
+    wire::Bytes first_;
+    std::vector<wire::Bytes> replays_;
+    bool replayed_ = false;
+  };
+
+  GsbsFixture fx(4, 1, 2, 1, [&](NodeId id) {
+    return std::make_unique<CachedBatchReplayer>(
+        init_frame(id, 0, genuine, sig),
+        std::vector<wire::Bytes>{init_frame(id, 0, flipped, sig),
+                                 init_frame(id, 0, genuine, bad_sig)});
+  });
+  fx.net.run();
+  check_gla_properties(fx, 1, 2, 4);
+
+  for (std::size_t i = 0; i < fx.correct.size(); ++i) {
+    const auto& verdicts = fx.counters[i]->verdicts;
+    const auto verdict = [&](const wire::Bytes& msg,
+                             const wire::Bytes& signature) {
+      const auto it = verdicts.find({kByz, msg, signature});
+      return it == verdicts.end() ? std::optional<bool>{} : it->second;
+    };
+    EXPECT_EQ(verdict(genuine_msg, sig), std::optional<bool>(true))
+        << "node" << i;
+    EXPECT_EQ(verdict(flipped_msg, sig), std::optional<bool>(false))
+        << "node" << i;
+    EXPECT_EQ(verdict(genuine_msg, bad_sig), std::optional<bool>(false))
+        << "node" << i;
+    EXPECT_EQ(fx.counters[i]->repeats, 0u) << "node" << i;
+    EXPECT_FALSE(fx.correct[i]->decided_set().contains(flipped_value));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Body store + pull protocol (src/store/): ref codec round-trips,
 // fetch-on-miss under reordered delivery (ECHO before SEND), rotation
 // past garbage providers, single-flight dedupe, and the shared
-// verified-digest cache.
+// verify-once memo.
 
 #include <gtest/gtest.h>
 
