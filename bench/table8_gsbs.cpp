@@ -32,7 +32,7 @@ Result run_gsbs(std::size_t n, std::size_t f, std::uint64_t rounds) {
       continue;
     }
     auto proc = std::make_unique<core::GsbsProcess>(
-        core::GsbsConfig{id, n, f, rounds}, signers->signer_for(id));
+        core::EngineConfig{id, n, f, rounds}, signers->signer_for(id));
     wire::Encoder v;
     v.str("t8");
     v.u32(id);

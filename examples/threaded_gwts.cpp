@@ -29,7 +29,7 @@ int main() {
     // runs on the process's own thread, so submit() needs no locking.
     auto holder = std::make_shared<core::GwtsProcess*>(nullptr);
     auto proc = std::make_unique<core::GwtsProcess>(
-        core::GwtsConfig{id, n, f, rounds},
+        core::EngineConfig{id, n, f, rounds},
         [holder, id](const core::GwtsProcess::Decision& d) {
           if (d.round + 1 < rounds) {
             wire::Encoder enc;

@@ -18,15 +18,12 @@ BatchClient::BatchClient(Config config,
                          std::shared_ptr<const crypto::ISigner> signer,
                          std::vector<lattice::Value> commands)
     : config_(config),
-      registry_(config.registry ? config.registry
-                                : std::make_shared<obs::Registry>()),
+      registry_(obs::registry_or_private(config.registry)),
       builder_(with_proposer(config.builder, config.self), std::move(signer)),
       pipeline_(BatchProposer::Config{config.max_in_flight, config.f + 1,
                                       config.self, registry_, config.retry}),
       queue_(commands.begin(), commands.end()),
-      total_commands_(commands.size()) {
-  if (!config.registry) registry_->lifecycle().set_enabled(false);
-}
+      total_commands_(commands.size()) {}
 
 void BatchClient::on_start(net::IContext& ctx) {
   registry_->trace_event(config_.self, obs::EventKind::kSubmit,

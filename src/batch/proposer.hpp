@@ -65,8 +65,7 @@ public:
     NodeId self = 0;
     /// Observability registry: batch-seal and client-confirm lifecycle
     /// marks (the ends of the per-command latency timeline) plus
-    /// "node<self>/batch/*" counters. Created internally when null
-    /// (with lifecycle tracking disabled — see rsm::ReplicaConfig).
+    /// "node<self>/batch/*" counters. Null = obs::registry_or_private.
     std::shared_ptr<obs::Registry> registry;
     /// Deadline-based retransmission (see RetryPolicy). Default off.
     RetryPolicy retry;
@@ -74,9 +73,7 @@ public:
 
   explicit BatchProposer(Config config)
       : config_(std::move(config)),
-        registry_(config_.registry ? config_.registry
-                                   : std::make_shared<obs::Registry>()) {
-    if (!config_.registry) registry_->lifecycle().set_enabled(false);
+        registry_(obs::registry_or_private(config_.registry)) {
     const std::string p =
         "node" + std::to_string(config_.self) + "/batch/";
     obs_batches_completed_ = registry_->counter(p + "batches_completed");

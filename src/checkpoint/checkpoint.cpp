@@ -37,7 +37,7 @@ CheckpointManager::CheckpointManager(Config config, SendFn send,
       send_(std::move(send)),
       on_adopt_(std::move(on_adopt)) {
   if (config_.vouch_quorum == 0) config_.vouch_quorum = config_.f + 1;
-  if (!config_.registry) config_.registry = std::make_shared<obs::Registry>();
+  config_.registry = obs::registry_or_private(std::move(config_.registry));
   const std::string p =
       "node" + std::to_string(config_.self) + "/checkpoint/";
   auto& reg = *config_.registry;

@@ -8,24 +8,26 @@
 // shared contract: submit values, observe a non-decreasing chain of
 // decisions, and test whether a set is quorum-committed (the Alg. 7
 // confirmation predicate). This interface lets those layers switch
-// engines per deployment instead of hard-wiring GWTS.
+// engines per deployment instead of hard-wiring GWTS. Both engines share
+// one config (EngineConfig) and one scaffold (EngineBase).
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
+#include "checkpoint/checkpoint.hpp"
 #include "core/common.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "net/process.hpp"
 #include "obs/registry.hpp"
 #include "store/body_store.hpp"
-
-namespace bla::checkpoint {
-class CheckpointManager;
-}  // namespace bla::checkpoint
+#include "store/fetch.hpp"
+#include "store/ref.hpp"
 
 namespace bla::core {
 
@@ -78,36 +80,187 @@ public:
 
 enum class EngineKind : std::uint8_t { kGwts, kGsbs };
 
+/// The one configuration of both generalized engines (and, through
+/// rsm::ReplicaConfig, of the replica hosting one).
 struct EngineConfig {
   NodeId self = 0;
   std::size_t n = 0;
   std::size_t f = 0;
-  std::uint64_t max_rounds = 0;  // 0 = unbounded
+  /// Stop starting new rounds after this many (0 = unbounded). Processes
+  /// keep serving as acceptors after exhausting the budget so peers still
+  /// make progress; simulations use this to reach quiescence.
+  std::uint64_t max_rounds = 0;
   /// Digest-only dissemination (see src/store/): protocol frames carry
-  /// 32-byte body references; missing bodies are pulled on demand.
-  /// false = full-frame dissemination (the bytes/command bench baseline).
+  /// 32-byte body references and missing bodies are pulled on demand;
+  /// first-contact frames (GWTS disclosures, GSbS INIT batches) stay
+  /// inline. false = full-frame dissemination (the bytes/command bench
+  /// baseline).
   bool digest_refs = true;
-  /// Shared content-addressed body store. The RSM replica passes its own
-  /// (also holding the verify-once memo); engines create one when null.
-  std::shared_ptr<store::BodyStore> store;
-  /// Observability registry threaded down to the engine (and through it
-  /// to RBC / fetcher). Engines create a private one when null.
+  /// Observability registry shared down through the RBC / fetcher;
+  /// engine counters register as "node<self>/<gwts|gsbs>/*". A null
+  /// registry is replaced by a private one (obs::registry_or_private).
   std::shared_ptr<obs::Registry> registry;
   /// Opt-in lossy-link recovery (see core::RecoveryConfig). Default off.
   RecoveryConfig recovery;
   /// Checkpoint + unified GC (src/checkpoint/): commit the decided set
   /// each time it grows this many elements, then collapse downstream
-  /// state (store eviction, [root]+delta frames, Bracha epoch expiry).
-  /// 0 = disabled.
+  /// state (store eviction, round-indexed pruning; for GWTS also
+  /// [root]+delta frames and Bracha epoch expiry). 0 = disabled.
   std::size_t checkpoint_interval = 0;
+};
+
+/// What GWTS (§6) and GSbS (§8.2) do identically: the decision chain and
+/// its observers, value batching, the body store / registry / checkpoint
+/// plumbing, the on_message prologue, and the stall-recovery timer. The
+/// engines supply the protocol through the hooks below.
+class EngineBase : public IAgreementEngine {
+public:
+  using Decision = core::Decision;
+
+  EngineBase(const EngineBase&) = delete;
+  EngineBase& operator=(const EngineBase&) = delete;
+
+  /// The paper's new_value(v) event (Alg. 3 lines 8-9): values received
+  /// during round r join Batch[r+1]; before the first round, Batch[0].
+  void submit(Value value) final;
+
+  void on_start(net::IContext& ctx) final;
+  /// Routes dissemination-layer frames (RBC / body pulls), then
+  /// checkpoint frames, then the engine's own; malformed frames drop.
+  void on_message(net::IContext& ctx, NodeId from,
+                  wire::BytesView payload) final;
+  /// Recovery tick (armed only when config.recovery.enabled). A stall is
+  /// either no progress at all or a round clock that stopped while
+  /// traffic still flows — the laggard case, where peers' new-round
+  /// frames keep arriving but the local engine is wedged behind missed
+  /// instances or lost bodies. Each stall pass re-offers exhausted body
+  /// pulls and parked checkpoint roots, then lets the engine re-send its
+  /// current phase frame (on_stall); at most recovery.max_resends passes
+  /// per engine.
+  void on_timer(net::IContext& ctx, std::uint64_t token) final;
+
+  [[nodiscard]] const std::vector<Decision>& decisions() const final {
+    return decisions_;
+  }
+  [[nodiscard]] const ValueSet& decided_set() const final {
+    return decided_set_;
+  }
+  /// Canonical-digest lookup over every set this engine has seen proven
+  /// quorum-committed (the Alg. 7 confirmation predicate).
+  [[nodiscard]] bool is_committed(const ValueSet& set) const final {
+    return committed_sets_.contains(committed_set_digest(set.elements()));
+  }
+  [[nodiscard]] const checkpoint::CheckpointManager* checkpoints()
+      const final {
+    return ckpt_.enabled() ? &ckpt_ : nullptr;
+  }
+  [[nodiscard]] std::uint64_t current_round() const { return round_; }
+  [[nodiscard]] std::size_t refinement_count() const { return refinements_; }
+  [[nodiscard]] const store::BodyStore& body_store() const { return *store_; }
+
+protected:
+  /// `name` is the counter namespace ("gwts" / "gsbs"); `known_safe` is
+  /// the checkpoint manager's local-safety predicate (a snapshot made of
+  /// such values adopts without a vouch quorum). A null `store` gets a
+  /// private one.
+  EngineBase(EngineConfig config, DecideFn on_decide,
+             std::shared_ptr<store::BodyStore> store, const char* name,
+             std::function<bool(const Value&)> known_safe);
+
+  // -- engine hooks ----------------------------------------------------------
+  /// Starts round_ (from on_start and after every decision).
+  virtual void start_round() = 0;
+  /// Offers a frame to the dissemination layer; true if consumed.
+  virtual bool handle_layer_frame(NodeId from, std::uint8_t type,
+                                  wire::Decoder& dec) = 0;
+  /// An engine protocol frame (also the replay target of parked frames).
+  virtual void handle_frame(NodeId from, wire::BytesView frame) = 0;
+  virtual store::BodyFetcher& fetcher() = 0;
+  /// Stall pass: retry_pulls() plus the engine's own re-sends of the
+  /// current phase frame (idempotent at receivers).
+  virtual void on_stall() = 0;
+  /// Current phase, for the retry trace event.
+  [[nodiscard]] virtual std::uint64_t phase() const = 0;
+  /// Checkpoint adoption upcall (see checkpoint.hpp for the two-tier
+  /// safety argument).
+  virtual void on_snapshot_adopted(const checkpoint::Snapshot& snap,
+                                   bool quorum) = 0;
+
+  // -- shared steps ----------------------------------------------------------
+  /// Counts and clocks a new round_; false once max_rounds is spent (the
+  /// engine stops proposing, its acceptor role stays live).
+  [[nodiscard]] bool begin_round();
+  /// Merges `set` into the decided set. Only growth is recorded, counted,
+  /// traced and notified: rounds keep turning with nothing new to decide,
+  /// and each recorded decision copies the full cumulative set. Lost
+  /// notifications are re-sent by the replica's already-decided fast
+  /// path instead (rsm::RsmReplica::on_new_batch). Returns whether the
+  /// decided set grew.
+  bool record_decision(const ValueSet& set, std::uint64_t round);
+  /// Records a quorum-committed set (canonical sorted elements) for
+  /// is_committed.
+  void record_committed(const std::vector<Value>& sorted_elems) {
+    committed_sets_.insert(committed_set_digest(sorted_elems));
+  }
+  void count_refinement() {
+    refinements_ += 1;
+    obs_refinements_.inc();
+  }
+  /// The frame references bodies we do not hold: pulls them (the sender
+  /// encoded the references, so it has the bodies — first hint) and
+  /// replays the whole frame through handle_frame once they land.
+  void park(NodeId from, const store::RefResolver& resolver,
+            wire::BytesView frame);
+  /// Re-offers body pulls that exhausted their hints while the link was
+  /// lossy, and re-pulls checkpoint roots parked on a dead provider.
+  void retry_pulls();
+  /// Resets the stall clock. Only genuinely new information counts — a
+  /// peer's stall-triggered re-send carrying nothing new must not
+  /// suppress our own recovery, or two mutually wedged processes starve.
+  void note_progress();
+
+  EngineConfig config_;
+  DecideFn on_decide_;
+  net::IContext* ctx_ = nullptr;  // set for the duration of each upcall
+  std::shared_ptr<store::BodyStore> store_;
+  std::shared_ptr<obs::Registry> registry_;
+  checkpoint::CheckpointManager ckpt_;  // sends through ctx_
+  /// Round the latest own checkpoint was taken in (the GC floor).
+  std::uint64_t ckpt_round_ = 0;
+  obs::Counter obs_retries_;  // stall passes + GWTS ack re-broadcasts
+
+  std::uint64_t round_ = 0;
+  bool started_ = false;
+  std::map<std::uint64_t, ValueSet> batches_;
+  ValueSet decided_set_;
+  std::vector<Decision> decisions_;
+
+private:
+  [[nodiscard]] bool rounds_exhausted() const {
+    return config_.max_rounds != 0 && round_ >= config_.max_rounds;
+  }
+
+  std::size_t refinements_ = 0;
+  // Canonical-encoding digests of quorum-committed sets (is_committed).
+  std::set<crypto::Sha256::Digest> committed_sets_;
+  obs::Counter obs_rounds_;
+  obs::Counter obs_decisions_;
+  obs::Counter obs_refinements_;
+
+  // Recovery state (unused unless config_.recovery.enabled).
+  double last_progress_ = 0.0;
+  double last_round_change_ = 0.0;  // when round_ last advanced
+  std::size_t resends_ = 0;
 };
 
 /// Builds an engine. `signer` is required for kGsbs (its protocol signs
 /// every batch and ack) and ignored for kGwts; passing a null signer with
-/// kGsbs throws std::invalid_argument.
+/// kGsbs throws std::invalid_argument. A null `store` gets a private one;
+/// the RSM replica passes its own (also holding the verify-once memo).
 [[nodiscard]] std::unique_ptr<IAgreementEngine> make_engine(
     EngineKind kind, const EngineConfig& config,
     std::shared_ptr<const crypto::ISigner> signer,
-    IAgreementEngine::DecideFn on_decide);
+    IAgreementEngine::DecideFn on_decide,
+    std::shared_ptr<store::BodyStore> store = nullptr);
 
 }  // namespace bla::core

@@ -193,48 +193,27 @@ ValueSet proposal_union(const std::vector<ProvenBatch>& proposal) {
 // Construction / submission.
 // ---------------------------------------------------------------------------
 
-GsbsProcess::GsbsProcess(GsbsConfig config,
+GsbsProcess::GsbsProcess(EngineConfig config,
                          std::shared_ptr<const crypto::ISigner> signer,
-                         DecideFn on_decide)
-    : config_(std::move(config)),
+                         DecideFn on_decide,
+                         std::shared_ptr<store::BodyStore> store)
+    : EngineBase(std::move(config), std::move(on_decide), std::move(store),
+                 "gsbs",
+                 // GSbS decisions are certificate-proven, so decided
+                 // membership is the known-safe predicate: a snapshot of
+                 // locally decided values adopts without a vouch quorum.
+                 [this](const Value& v) { return decided_set_.contains(v); }),
       signer_(std::move(signer)),
-      on_decide_(std::move(on_decide)),
-      store_(config_.store ? config_.store
-                           : std::make_shared<store::BodyStore>()),
-      registry_(config_.registry ? config_.registry
-                                 : std::make_shared<obs::Registry>()),
       fetcher_(std::make_unique<store::BodyFetcher>(
           store::BodyFetcher::Config{config_.self, config_.n,
                                      lattice::kMaxValueBytes,
                                      /*fanout=*/config_.f + 1,
                                      /*max_auto_rearms=*/4, registry_},
           store_,
-          [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); })),
-      ckpt_(
-          checkpoint::Config{
-              config_.self, config_.n, config_.f,
-              config_.checkpoint_interval,
-              /*vouch_quorum=*/0, store_, registry_,
-              // GSbS decisions are certificate-proven, so decided
-              // membership is the known-safe predicate: a snapshot of
-              // locally decided values adopts without a vouch quorum.
-              [this](const Value& v) { return decided_set_.contains(v); }},
-          [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); },
-          [this](const checkpoint::Snapshot& snap, bool quorum) {
-            on_snapshot_adopted(snap, quorum);
-          }) {
+          [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); })) {
   const std::string p = "node" + std::to_string(config_.self) + "/gsbs/";
-  obs_rounds_ = registry_->counter(p + "rounds");
-  obs_decisions_ = registry_->counter(p + "decisions");
-  obs_refinements_ = registry_->counter(p + "refinements");
   obs_sig_checks_ = registry_->counter(p + "sig_checks");
   obs_sig_cache_hits_ = registry_->counter(p + "sig_cache_hits");
-  obs_retries_ = registry_->counter(p + "retries");
-}
-
-void GsbsProcess::submit(Value value) {
-  const std::uint64_t target = started_ ? round_ + 1 : 0;
-  batches_[target].insert(std::move(value));
 }
 
 // ---------------------------------------------------------------------------
@@ -387,90 +366,25 @@ bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
 // Round machinery.
 // ---------------------------------------------------------------------------
 
-void GsbsProcess::on_start(net::IContext& ctx) {
-  ctx_ = &ctx;
-  started_ = true;
-  if (config_.recovery.enabled) {
-    last_progress_ = ctx.now();
-    ctx.schedule(config_.recovery.tick, 0);
-  }
-  start_round();
-  ctx_ = nullptr;
-}
-
-void GsbsProcess::on_timer(net::IContext& ctx, std::uint64_t token) {
-  (void)token;
-  // Letting the chain end (no re-schedule) once stopped — or once the
-  // retry budget is spent on a permanently wedged run — is what lets
-  // simulations quiesce with recovery enabled.
-  if (!config_.recovery.enabled || state_ == State::kStopped ||
-      resends_ >= config_.recovery.max_resends) {
-    return;
-  }
-  ctx_ = &ctx;
-  if (ctx.now() - last_progress_ >= config_.recovery.stall_after) {
-    recover_stall();
-    last_progress_ = ctx.now();
-  }
-  ctx.schedule(config_.recovery.tick, 0);
-  ctx_ = nullptr;
-}
-
-void GsbsProcess::note_progress() {
-  // Only *genuinely new* information resets the stall clock — a peer's
-  // stall-triggered re-send carrying nothing new must not suppress our
-  // own recovery, or two mutually-wedged processes starve forever.
-  if (config_.recovery.enabled && ctx_ != nullptr) {
-    last_progress_ = ctx_->now();
-  }
-}
-
-void GsbsProcess::recover_stall() {
-  if (resends_ >= config_.recovery.max_resends) return;
-  ++resends_;
-  obs_retries_.inc();
-  registry_->trace_event(config_.self, obs::EventKind::kEngineRetry, round_,
-                         static_cast<std::uint64_t>(state_));
-  // Re-offer any body pulls that exhausted their hint list while the
-  // link was lossy, and re-pull checkpoint roots parked on a dead
-  // provider.
-  fetcher_->retry_exhausted();
-  ckpt_.retry_pending();
+void GsbsProcess::on_stall() {
+  retry_pulls();
   switch (state_) {
-    case State::kInit: {
-      // Re-broadcast our signed INIT batch. batches_[round_] is frozen
-      // once the round started (submit() targets round_+1), and
-      // receivers dedupe by (signer, round, batch) in index_batch, so
-      // the re-send is idempotent even if the signature bytes differ.
-      SignedBatch sb;
-      sb.signer = config_.self;
-      sb.round = round_;
-      sb.batch = batches_[round_];
-      sb.signature = signer_->sign(batch_signing_bytes(sb));
-      wire::Encoder enc;
-      enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
-      encode_signed_batch(enc, sb, Codec{store_.get(), false});
-      ctx_->broadcast(enc.take());
+    case State::kInit:
+      // batches_[round_] is frozen once the round started (submit()
+      // targets round_+1), and receivers dedupe by (signer, round, batch)
+      // in index_batch, so the re-send is idempotent even if the
+      // signature bytes differ.
+      broadcast_init();
       break;
-    }
-    case State::kSafetying: {
-      // Re-send the safe-req with the frozen snapshot. Acceptors answer
-      // every safe-req; our on_safe_ack dedupes by acceptor.
-      wire::Encoder enc;
-      enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeReq));
-      enc.u64(round_);
-      enc.uvarint(safety_snapshot_.size());
-      for (const SignedBatch& sb : safety_snapshot_) {
-        encode_signed_batch(enc, sb,
-                            Codec{store_.get(), config_.digest_refs});
-      }
-      ctx_->broadcast(enc.take());
+    case State::kSafetying:
+      // The frozen snapshot again. Acceptors answer every safe-req; our
+      // on_safe_ack dedupes by acceptor.
+      broadcast_safe_req();
       break;
-    }
     case State::kProposing:
-      // Re-send the ack-req. Acceptors re-ack (accepted_ is already a
-      // superset match) and piggyback any certificate ending the round,
-      // which is exactly the catch-up path §8.2 prescribes.
+      // Acceptors re-ack (accepted_ is already a superset match) and
+      // piggyback any certificate ending the round, which is exactly the
+      // catch-up path §8.2 prescribes.
       send_ack_req();
       break;
     case State::kStopped:
@@ -479,16 +393,19 @@ void GsbsProcess::recover_stall() {
 }
 
 void GsbsProcess::start_round() {
-  if (config_.max_rounds != 0 && round_ >= config_.max_rounds) {
+  if (!begin_round()) {
     state_ = State::kStopped;
     return;
   }
   state_ = State::kInit;
-  obs_rounds_.inc();
   note_progress();
   safe_acks_.clear();
   safety_snapshot_.clear();
+  broadcast_init();
+  maybe_enter_safetying();
+}
 
+void GsbsProcess::broadcast_init() {
   SignedBatch sb;
   sb.signer = config_.self;
   sb.round = round_;
@@ -503,7 +420,17 @@ void GsbsProcess::start_round() {
   enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
   encode_signed_batch(enc, sb, Codec{store_.get(), false});
   ctx_->broadcast(enc.take());
-  maybe_enter_safetying();
+}
+
+void GsbsProcess::broadcast_safe_req() {
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeReq));
+  enc.u64(round_);
+  enc.uvarint(safety_snapshot_.size());
+  for (const SignedBatch& sb : safety_snapshot_) {
+    encode_signed_batch(enc, sb, Codec{store_.get(), config_.digest_refs});
+  }
+  ctx_->broadcast(enc.take());
 }
 
 void GsbsProcess::maybe_enter_safetying() {
@@ -514,15 +441,7 @@ void GsbsProcess::maybe_enter_safetying() {
   note_progress();
   std::sort(safety_set.begin(), safety_set.end());
   safety_snapshot_ = std::move(safety_set);
-
-  wire::Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeReq));
-  enc.u64(round_);
-  enc.uvarint(safety_snapshot_.size());
-  for (const SignedBatch& sb : safety_snapshot_) {
-    encode_signed_batch(enc, sb, Codec{store_.get(), config_.digest_refs});
-  }
-  ctx_->broadcast(enc.take());
+  broadcast_safe_req();
 }
 
 void GsbsProcess::enter_proposing() {
@@ -577,27 +496,18 @@ void GsbsProcess::broadcast_cert_and_decide(DecidedCert cert) {
   encode_cert(enc, cert, Codec{store_.get(), config_.digest_refs});
   ctx_->broadcast(enc.take());
 
-  const std::uint64_t round = cert.round;
   const ValueSet decision = proposal_union(cert.proposal);
-  certs_.emplace(round, std::move(cert));
-  record_committed(decision);
+  certs_.emplace(cert.round, std::move(cert));
+  record_committed(decision.elements());
   advance_trust();
+  decide_and_advance(decision);
+}
 
-  // As in GWTS, only set-growing decisions are recorded and notified —
-  // idle rounds re-deciding the same cumulative set would otherwise cost
-  // a full set copy plus client notifications per round. Merge, don't
-  // replace: after a snapshot adoption the decided set may hold values
-  // the (cumulative-since-our-rounds) proposal never carried.
-  const bool grew = decided_set_.would_grow_by(decision);
-  decided_set_.merge(decision);
-  if (grew) {
-    decisions_.push_back({decided_set_, round, ctx_->now()});
-    obs_decisions_.inc();
-    registry_->trace_event(config_.self, obs::EventKind::kDecide, round,
-                           decided_set_.size());
-    if (on_decide_) on_decide_(decisions_.back());
-    maybe_checkpoint_and_compact(round);
-  }
+void GsbsProcess::decide_and_advance(const ValueSet& decision) {
+  // record_decision merges rather than replaces: after a snapshot
+  // adoption the decided set may hold values the
+  // (cumulative-since-our-rounds) proposal never carried.
+  if (record_decision(decision, round_)) maybe_checkpoint_and_compact(round_);
   round_ += 1;
   start_round();
 }
@@ -624,18 +534,7 @@ void GsbsProcess::adopt_cert(const DecidedCert& cert) {
   for (const ProvenBatch& pb : cert.proposal) {
     proposed_.emplace(pb.sb, pb.proof);
   }
-  const bool grew = decided_set_.would_grow_by(union_set);
-  decided_set_.merge(union_set);
-  if (grew) {
-    decisions_.push_back({decided_set_, round_, ctx_->now()});
-    obs_decisions_.inc();
-    registry_->trace_event(config_.self, obs::EventKind::kDecide, round_,
-                           decided_set_.size());
-    if (on_decide_) on_decide_(decisions_.back());
-    maybe_checkpoint_and_compact(round_);
-  }
-  round_ += 1;
-  start_round();
+  decide_and_advance(union_set);
 }
 
 void GsbsProcess::adopt_cert_if_held(std::uint64_t round) {
@@ -679,28 +578,9 @@ void GsbsProcess::drain_buffers() {
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-void GsbsProcess::on_message(net::IContext& ctx, NodeId from,
-                             wire::BytesView payload) {
-  ctx_ = &ctx;
-  try {
-    wire::Decoder dec(payload);
-    const std::uint8_t type = dec.u8();
-    if (fetcher_->handle(from, type, dec)) {
-      // Body-pull traffic; parked frames may have replayed inside.
-      ctx_ = nullptr;
-      return;
-    }
-    if (ckpt_.handle(from, type, dec)) {
-      // Checkpoint pull / snapshot frame; adoption upcalls ran inside.
-      ctx_ = nullptr;
-      return;
-    }
-  } catch (const wire::WireError&) {
-    ctx_ = nullptr;
-    return;  // empty frame: Byzantine; drop
-  }
-  handle_frame(from, payload);
-  ctx_ = nullptr;
+bool GsbsProcess::handle_layer_frame(NodeId from, std::uint8_t type,
+                                     wire::Decoder& dec) {
+  return fetcher_->handle(from, type, dec);
 }
 
 void GsbsProcess::handle_frame(NodeId from, wire::BytesView frame) {
@@ -742,18 +622,6 @@ void GsbsProcess::handle_frame(NodeId from, wire::BytesView frame) {
   } catch (const wire::WireError&) {
     // Byzantine; drop.
   }
-}
-
-void GsbsProcess::park(NodeId from, const store::RefResolver& resolver,
-                       wire::BytesView frame) {
-  // The frame references bodies we do not hold: pull them (the sender
-  // encoded the references, so it has the bodies — first hint) and
-  // replay the whole frame once they land.
-  wire::Bytes copy(frame.begin(), frame.end());
-  fetcher_->await(resolver.missing(), {from},
-                  [this, from, copy = std::move(copy)] {
-                    handle_frame(from, copy);
-                  });
 }
 
 void GsbsProcess::on_init(NodeId from, wire::Decoder& dec,
@@ -964,8 +832,7 @@ void GsbsProcess::on_nack(NodeId from, wire::Decoder& dec,
   ack_senders_.clear();
   collected_acks_.clear();
   ts_ += 1;
-  refinements_ += 1;
-  obs_refinements_.inc();
+  count_refinement();
   note_progress();
   send_ack_req();
 }
@@ -1008,14 +875,14 @@ void GsbsProcess::on_decided(NodeId from, wire::Decoder& dec,
     // quorum-committed set a client may ask us to confirm.
     const ValueSet other = proposal_union(cert.proposal);
     if (!is_committed(other) && verify_cert(cert)) {
-      record_committed(other);
+      record_committed(other.elements());
     }
     adopt_cert(certs_.at(cert.round));
     return;
   }
   if (!verify_cert(cert)) return;
   const std::uint64_t round = cert.round;
-  record_committed(proposal_union(cert.proposal));
+  record_committed(proposal_union(cert.proposal).elements());
   certs_.emplace(round, std::move(cert));
   advance_trust();
   adopt_cert(certs_.at(round));
@@ -1077,16 +944,9 @@ void GsbsProcess::maybe_checkpoint_and_compact(std::uint64_t decided_round) {
 void GsbsProcess::on_snapshot_adopted(const checkpoint::Snapshot& snap,
                                       bool quorum) {
   if (!quorum) return;
-  ValueSet committed = ValueSet::from_sorted(
-      std::vector<Value>(snap.elements->begin(), snap.elements->end()));
-  if (!decided_set_.would_grow_by(committed)) return;
-  decided_set_.merge(committed);
-  decisions_.push_back({decided_set_, round_, ctx_ ? ctx_->now() : 0.0});
-  obs_decisions_.inc();
-  registry_->trace_event(config_.self, obs::EventKind::kDecide, round_,
-                         decided_set_.size());
-  if (on_decide_) on_decide_(decisions_.back());
-  note_progress();
+  if (record_decision(ValueSet::from_sorted(*snap.elements), round_)) {
+    note_progress();
+  }
 }
 
 }  // namespace bla::core

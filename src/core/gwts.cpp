@@ -9,124 +9,52 @@ namespace {
 constexpr std::size_t kMaxWaitingMsgs = 1 << 16;
 }  // namespace
 
-GwtsProcess::GwtsProcess(GwtsConfig config, DecideFn on_decide)
-    : config_(std::move(config)),
-      on_decide_(std::move(on_decide)),
-      store_(config_.store ? config_.store
-                           : std::make_shared<store::BodyStore>()),
-      registry_(config_.registry ? config_.registry
-                                 : std::make_shared<obs::Registry>()),
+GwtsProcess::GwtsProcess(EngineConfig config, DecideFn on_decide,
+                         std::shared_ptr<store::BodyStore> store,
+                         std::size_t max_payload_bytes)
+    : EngineBase(std::move(config), std::move(on_decide), std::move(store),
+                 "gwts",
+                 // A value is known-safe locally once it has a disclosure
+                 // round or is already decided — snapshots made of such
+                 // values adopt without a vouch quorum (pure expansion).
+                 [this](const Value& v) {
+                   return value_round_.contains(v) || decided_set_.contains(v);
+                 }),
       rbc_(
           rbc::BrachaRbc::Config{config_.self, config_.n, config_.f,
                                  config_.digest_refs, store_, registry_,
-                                 config_.max_payload_bytes},
+                                 max_payload_bytes},
           [this](NodeId to, wire::Bytes bytes) {
             ctx_->send(to, std::move(bytes));
           },
           [this](NodeId origin, std::uint64_t tag, wire::Bytes payload) {
             on_rbc_deliver(origin, tag, std::move(payload));
-          }),
-      ckpt_(
-          checkpoint::Config{
-              config_.self, config_.n, config_.f,
-              config_.checkpoint_interval,
-              /*vouch_quorum=*/0, store_, registry_,
-              // A value is known-safe locally once it has a disclosure
-              // round or is already decided — snapshots made of such
-              // values adopt without a vouch quorum (pure expansion).
-              [this](const Value& v) {
-                return value_round_.contains(v) || decided_set_.contains(v);
-              }},
-          [this](NodeId to, wire::Bytes bytes) {
-            ctx_->send(to, std::move(bytes));
-          },
-          [this](const checkpoint::Snapshot& snap, bool quorum) {
-            on_snapshot_adopted(snap, quorum);
           }) {
   const std::string p = "node" + std::to_string(config_.self) + "/gwts/";
-  obs_rounds_ = registry_->counter(p + "rounds");
-  obs_decisions_ = registry_->counter(p + "decisions");
-  obs_refinements_ = registry_->counter(p + "refinements");
   obs_broadcast_rejected_ =
       registry_->counter(p + "broadcast_rejected", /*warning=*/true);
-  obs_retries_ = registry_->counter(p + "retries");
   obs_compact_retries_ = registry_->counter(p + "compact_retries");
   obs_accepted_delta_ = registry_->gauge(p + "accepted_delta");
   obs_proposed_delta_ = registry_->gauge(p + "proposed_delta");
 }
 
-void GwtsProcess::submit(Value value) {
-  // Alg. 3 lines 8-9: values received during round r join Batch[r+1].
-  // Before the first round starts they join Batch[0].
-  const std::uint64_t target = started_ ? round_ + 1 : 0;
-  batches_[target].insert(std::move(value));
+bool GwtsProcess::handle_layer_frame(NodeId from, std::uint8_t type,
+                                     wire::Decoder& dec) {
+  return rbc_.handle(from, type, dec);
 }
 
-void GwtsProcess::on_start(net::IContext& ctx) {
-  ctx_ = &ctx;
-  started_ = true;
-  if (config_.recovery.enabled) {
-    last_progress_ = ctx.now();
-    last_round_change_ = ctx.now();
-    ctx.schedule(config_.recovery.tick, 0);
-  }
-  start_round();
-  ctx_ = nullptr;
-}
-
-void GwtsProcess::on_timer(net::IContext& ctx, std::uint64_t /*token*/) {
-  // Chain ends once stopped (a stopped engine serves acceptors
-  // message-driven) or once the retry budget is spent on a permanently
-  // wedged run — either way the simulation can quiesce.
-  if (!config_.recovery.enabled || state_ == State::kStopped ||
-      resends_ >= config_.recovery.max_resends) {
-    return;
-  }
-  ctx_ = &ctx;
-  // Two stall signals: no traffic at all (last_progress_), or a round_
-  // that stopped advancing while traffic still flows — the laggard case,
-  // where peers' new-round frames keep resetting last_progress_ but the
-  // local engine is wedged behind missed instances or lost bodies.
-  if (ctx.now() - last_progress_ >= config_.recovery.stall_after ||
-      ctx.now() - last_round_change_ >= config_.recovery.stall_after) {
-    recover_stall();
-    last_progress_ = ctx.now();  // space retries one stall window apart
-    last_round_change_ = ctx.now();
-  }
-  ctx.schedule(config_.recovery.tick, 0);
-  ctx_ = nullptr;
-}
-
-void GwtsProcess::note_progress() {
-  if (config_.recovery.enabled && ctx_ != nullptr) {
-    last_progress_ = ctx_->now();
-  }
-}
-
-void GwtsProcess::recover_stall() {
-  if (resends_ >= config_.recovery.max_resends) return;
-  ++resends_;
-  obs_retries_.inc();
-  registry_->trace_event(config_.self, obs::EventKind::kEngineRetry, round_,
-                         static_cast<std::uint64_t>(state_));
-  // Fill tally gaps message loss tore into wedged RBC instances, give
-  // dormant body fetches another (bounded) rotation, re-pull checkpoint
-  // roots still parked on a dead provider, and probe for instances we
-  // never heard of at all (partition / crash windows).
+void GwtsProcess::on_stall() {
+  // Fill tally gaps message loss tore into wedged RBC instances, retry
+  // pulls, and probe for instances we never heard of at all (partition /
+  // crash windows). Then re-send the current phase frame. Both are
+  // idempotent at receivers: a repeated SEND is ignored by echoed
+  // instances, and a repeated ack-req is answered from the acceptor's
+  // dedup/re-ack path.
   rbc_.retry_undelivered();
-  rbc_.fetcher().retry_exhausted();
-  ckpt_.retry_pending();
+  retry_pulls();
   probe_missed_instances();
-  // Re-send the current phase frame. Both are idempotent at receivers:
-  // a repeated SEND is ignored by echoed instances, and a repeated
-  // ack-req is answered from the acceptor's dedup/re-ack path.
   if (state_ == State::kDisclosing) {
-    const ValueSet& batch = batches_[round_];
-    wire::Encoder enc;
-    enc.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
-    store::encode_value_set_ref(enc, batch, store_.get(), /*refs=*/false);
-    enc.u64(round_);
-    rbc_.broadcast(/*tag=*/round_, enc.view());
+    broadcast_disclosure(batches_[round_]);
   } else if (state_ == State::kProposing) {
     send_ack_req();
   }
@@ -178,15 +106,11 @@ void GwtsProcess::probe_missed_instances() {
 void GwtsProcess::start_round() {
   // Alg. 3 lines 11-15 (the state=newround transition). round_ holds the
   // round being started; the constructor primes it at 0.
-  if (config_.recovery.enabled && ctx_ != nullptr) {
-    last_round_change_ = ctx_->now();
-  }
-  if (config_.max_rounds != 0 && round_ >= config_.max_rounds) {
+  if (!begin_round()) {
     state_ = State::kStopped;  // acceptor role stays live
     return;
   }
   state_ = State::kDisclosing;
-  obs_rounds_.inc();
 
   // Idle-tail GC: checkpoints fire on decided growth, so a long idle
   // tail (rounds churning with nothing new to decide) never advances the
@@ -205,16 +129,7 @@ void GwtsProcess::start_round() {
   }
 
   const ValueSet& batch = batches_[round_];
-
-  // Inline spelling (refs=false: disclosure is first contact with the
-  // content), but through the ref codec — receivers decode disclosures
-  // with a RefResolver, so the escape rules must match on both sides —
-  // and registering the bodies in our store up front serves early pulls.
-  wire::Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
-  store::encode_value_set_ref(enc, batch, store_.get(), /*refs=*/false);
-  enc.u64(round_);
-  bool sent = rbc_.broadcast(/*tag=*/round_, enc.view());
+  bool sent = broadcast_disclosure(batch);
   if (!sent && ckpt_.force_checkpoint(decided_set_)) {
     // RBC refused the disclosure (frame cap). Checkpoint-covered values
     // are already decided and need no re-disclosure; a forced checkpoint
@@ -224,11 +139,7 @@ void GwtsProcess::start_round() {
     compact_state();
     ValueSet& stored = batches_[round_];
     stored = delta_of(stored);
-    wire::Encoder retry;
-    retry.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
-    store::encode_value_set_ref(retry, stored, store_.get(), /*refs=*/false);
-    retry.u64(round_);
-    sent = rbc_.broadcast(/*tag=*/round_, retry.view());
+    sent = broadcast_disclosure(stored);
     if (sent) {
       obs_compact_retries_.inc();
       proposed_set_.merge(stored);
@@ -255,6 +166,18 @@ void GwtsProcess::start_round() {
   }
 }
 
+bool GwtsProcess::broadcast_disclosure(const ValueSet& batch) {
+  // Inline spelling (refs=false: disclosure is first contact with the
+  // content), but through the ref codec — receivers decode disclosures
+  // with a RefResolver, so the escape rules must match on both sides —
+  // and registering the bodies in our store up front serves early pulls.
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
+  store::encode_value_set_ref(enc, batch, store_.get(), /*refs=*/false);
+  enc.u64(round_);
+  return rbc_.broadcast(/*tag=*/round_, enc.view());
+}
+
 void GwtsProcess::begin_proposing() {
   // Alg. 3 lines 22-25.
   state_ = State::kProposing;
@@ -279,34 +202,7 @@ void GwtsProcess::send_ack_req() {
   ctx_->broadcast(enc.take());
 }
 
-void GwtsProcess::on_message(net::IContext& ctx, NodeId from,
-                             wire::BytesView payload) {
-  ctx_ = &ctx;
-  try {
-    wire::Decoder dec(payload);
-    const std::uint8_t type = dec.u8();
-    if (rbc_.handle(from, type, dec)) {
-      // RBC or body-pull frame. Deliveries, parked replays, and fetch
-      // traffic all ran inside handle() with ctx_ set.
-      ctx_ = nullptr;
-      return;
-    }
-    if (ckpt_.handle(from, type, dec)) {
-      // Checkpoint pull / snapshot frame. Adoption upcalls
-      // (on_snapshot_adopted) and parked frame replays ran inside
-      // handle() with ctx_ set.
-      ctx_ = nullptr;
-      return;
-    }
-  } catch (const wire::WireError&) {
-    ctx_ = nullptr;
-    return;  // empty/truncated frame: Byzantine; drop
-  }
-  handle_point_frame(from, payload);
-  ctx_ = nullptr;
-}
-
-void GwtsProcess::handle_point_frame(NodeId from, wire::BytesView payload) {
+void GwtsProcess::handle_frame(NodeId from, wire::BytesView payload) {
   try {
     wire::Decoder dec(payload);
     PendingPoint msg;
@@ -324,14 +220,7 @@ void GwtsProcess::handle_point_frame(NodeId from, wire::BytesView payload) {
         // earliest post-heal signal of how far the cluster advanced.
         max_seen_round_ = std::max(max_seen_round_, msg.round);
         if (!resolver.complete()) {
-          // References we cannot resolve yet: park the frame and replay
-          // it once the bodies are pulled (the sender encoded the refs,
-          // so it holds the bodies — best first hint).
-          wire::Bytes copy(payload.begin(), payload.end());
-          rbc_.fetcher().await(resolver.missing(), {from},
-                               [this, from, copy = std::move(copy)] {
-                                 handle_point_frame(from, copy);
-                               });
+          park(from, resolver, payload);
           return;
         }
         if (compact.root && !compact.expanded) {
@@ -341,7 +230,7 @@ void GwtsProcess::handle_point_frame(NodeId from, wire::BytesView payload) {
           wire::Bytes copy(payload.begin(), payload.end());
           ckpt_.await_root(*compact.root, from,
                            [this, from, copy = std::move(copy)] {
-                             handle_point_frame(from, copy);
+                             handle_frame(from, copy);
                            });
           return;
         }
@@ -505,7 +394,7 @@ void GwtsProcess::record_ack(NodeId acceptor, const AckKey& key) {
   if (supporters.size() == byz_quorum(config_.n, config_.f)) {
     committed_by_round_[key.round].push_back(key);
     rounds_with_commit_.insert(key.round);
-    committed_sets_.insert(committed_set_digest(key.set_elems));
+    record_committed(key.set_elems);
     // Alg. 4 lines 17-19: a committed proposal of round Safe_r lets the
     // acceptor trust the next round. Chain upward in case later rounds
     // committed while we lagged.
@@ -526,30 +415,13 @@ void GwtsProcess::check_decide() {
     // set_elems is canonical (sorted elements()) — adopt, don't rebuild.
     ValueSet set = ValueSet::from_sorted(key.set_elems);
     if (!decided_set_.leq(set)) continue;
-    // Record (and notify) only decisions that *grow* the decided set.
-    // Rounds keep turning even with nothing new to decide, and each
-    // recorded decision copies the full cumulative set — without this
-    // guard a long idle tail (max_rounds >> workload rounds) costs
-    // O(rounds · |decided|) memory and per-round client notifications.
-    // Lost notifications are re-sent by the replica's already-decided
-    // fast path instead (rsm::RsmReplica::on_new_batch).
-    const bool grew = set != decided_set_;
-    decided_set_ = set;
-    if (grew) {
-      Decision decision{decided_set_, round_,
-                        ctx_ != nullptr ? ctx_->now() : 0.0};
-      decisions_.push_back(std::move(decision));
-      obs_decisions_.inc();
-      registry_->trace_event(config_.self, obs::EventKind::kDecide, round_,
-                             decided_set_.size());
-      if (on_decide_) on_decide_(decisions_.back());
-      // Growing decisions drive the checkpoint clock: once the decided
-      // set outgrew the interval, commit it and collapse downstream
-      // state before the next round's frames are built.
-      if (ckpt_.maybe_checkpoint(decided_set_)) {
-        ckpt_round_ = round_;
-        compact_state();
-      }
+    // Growing decisions drive the checkpoint clock: once the decided set
+    // outgrew the interval, commit it and collapse downstream state
+    // before the next round's frames are built.
+    if (record_decision(set, round_) &&
+        ckpt_.maybe_checkpoint(decided_set_)) {
+      ckpt_round_ = round_;
+      compact_state();
     }
     note_progress();
     round_ += 1;
@@ -665,26 +537,14 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
       }
     }
     if (rebroadcast) {
-      // The accepted set is cumulative — the by-far biggest repeat
-      // offender in bytes (it rides an O(n²) RBC per ack). The compact
-      // codec ships [root]+delta with 33-byte references; every receiver
-      // saw the bodies via disclosure or pulls them from us.
-      wire::Encoder enc;
-      enc.u8(static_cast<std::uint8_t>(MsgType::kGwtsAck));
-      ckpt_.encode_compact_set(enc, accepted_set_, config_.digest_refs);
-      enc.u64(msg.round);
-      bool sent = rbc_.broadcast(kAckTagBase | ack_tag_counter_++, enc.view());
+      bool sent = broadcast_ack(msg.round);
       if (!sent && ckpt_.force_checkpoint(decided_set_)) {
         // The delta outgrew the frame cap: force a checkpoint, re-delta
         // against it, and retry once (ROADMAP 1b — compact instead of
         // counting and dropping).
         ckpt_round_ = round_;
         compact_state();
-        wire::Encoder retry;
-        retry.u8(static_cast<std::uint8_t>(MsgType::kGwtsAck));
-        ckpt_.encode_compact_set(retry, accepted_set_, config_.digest_refs);
-        retry.u64(msg.round);
-        sent = rbc_.broadcast(kAckTagBase | ack_tag_counter_++, retry.view());
+        sent = broadcast_ack(msg.round);
         if (sent) obs_compact_retries_.inc();
       }
       if (!sent) {
@@ -710,6 +570,18 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
   }
 }
 
+bool GwtsProcess::broadcast_ack(std::uint64_t round) {
+  // The accepted set is cumulative — the by-far biggest repeat offender
+  // in bytes (it rides an O(n²) RBC per ack). The compact codec ships
+  // [root]+delta with 33-byte references; every receiver saw the bodies
+  // via disclosure or pulls them from us.
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(MsgType::kGwtsAck));
+  ckpt_.encode_compact_set(enc, accepted_set_, config_.digest_refs);
+  enc.u64(round);
+  return rbc_.broadcast(kAckTagBase | ack_tag_counter_++, enc.view());
+}
+
 void GwtsProcess::handle_nack(const PendingPoint& msg) {
   // Alg. 3 lines 28-33, in delta space: a checkpoint-covered element is
   // in every expansion already, so only the delta can grow the proposal
@@ -720,8 +592,7 @@ void GwtsProcess::handle_nack(const PendingPoint& msg) {
   obs_proposed_delta_.set(proposed_set_.size());
   note_progress();
   ts_ += 1;
-  refinements_ += 1;
-  obs_refinements_.inc();
+  count_refinement();
   send_ack_req();
 }
 
@@ -844,16 +715,7 @@ void GwtsProcess::on_snapshot_adopted(const checkpoint::Snapshot& snap,
     // decided prefix. GLA Comparability makes merging it into our own
     // decided set stay on the common chain, without replaying the
     // history (rounds, disclosures, acks) that produced it.
-    ValueSet snap_set = ValueSet::from_sorted(*snap.elements);
-    if (decided_set_.would_grow_by(snap_set)) {
-      decided_set_.merge(snap_set);
-      decisions_.push_back(Decision{decided_set_, round_,
-                                    ctx_ != nullptr ? ctx_->now() : 0.0});
-      obs_decisions_.inc();
-      registry_->trace_event(config_.self, obs::EventKind::kDecide, round_,
-                             decided_set_.size());
-      if (on_decide_) on_decide_(decisions_.back());
-    }
+    record_decision(ValueSet::from_sorted(*snap.elements), round_);
     note_progress();
   }
   drain_waiting();

@@ -22,6 +22,14 @@
 //    (provided its previous decision is contained — Local Stability),
 //    which is what lets processes lagging behind a committed round catch
 //    up and keeps the decision sequence live (Lemma 8).
+//
+// The scaffold shared with GSbS — EngineConfig, the decision chain,
+// store / registry / checkpoint plumbing and the stall timer — is
+// core::EngineBase; this class holds the protocol. With digest_refs,
+// Bracha ECHO/READY carry payload digests and ack/proposal value sets
+// ship 32-byte references (disclosures stay inline). Checkpointing
+// additionally compacts ack-req/ack/nack value sets to [root]+delta
+// frames and expires old Bracha instances.
 
 #include <cstdint>
 #include <deque>
@@ -39,99 +47,16 @@
 
 namespace bla::core {
 
-struct GwtsConfig {
-  NodeId self = 0;
-  std::size_t n = 0;
-  std::size_t f = 0;
-  /// Stop starting new rounds after this many (0 = unbounded). Processes
-  /// keep serving as acceptors after exhausting the budget so peers still
-  /// make progress; simulations use this to reach quiescence.
-  std::uint64_t max_rounds = 0;
-  /// Digest-only dissemination: Bracha ECHO/READY carry payload digests,
-  /// and ack/proposal value sets ship 32-byte references instead of
-  /// bodies (disclosures stay inline — they are first contact with the
-  /// content). false = full-frame dissemination (bench baseline).
-  bool digest_refs = true;
-  /// Shared content-addressed body store (created internally when null;
-  /// the RSM replica passes its own so batch bodies are stored once).
-  std::shared_ptr<store::BodyStore> store;
-  /// Observability registry shared down through the RBC and fetcher;
-  /// engine counters register as "node<self>/gwts/*". Created internally
-  /// when null (with command-lifecycle tracking disabled — nobody reads a
-  /// private registry's lifecycle, and tracking hashes every value).
-  std::shared_ptr<obs::Registry> registry;
-  /// Opt-in lossy-link recovery (see core::RecoveryConfig). Default off.
-  RecoveryConfig recovery;
-  /// Checkpoint + unified GC: commit the decided set every this many new
-  /// elements, evict its bodies, compact accepted/proposed state to
-  /// [root]+delta frames, and expire old Bracha instances. 0 = disabled
-  /// (all pre-checkpoint behavior, except the one-byte compact-set flag
-  /// prefix on ack-req/ack/nack frames, which is always present).
-  std::size_t checkpoint_interval = 0;
-  /// Effective RBC frame cap (tests scale it down to exercise the
-  /// over-cap compact-to-checkpoint retry without 16MB frames).
-  std::size_t max_payload_bytes = rbc::kMaxPayloadBytes;
-};
-
-class GwtsProcess : public IAgreementEngine {
+class GwtsProcess : public EngineBase {
 public:
-  /// The engine-wide decision record (hoisted to core::Decision so every
-  /// engine emits the same type; the alias keeps existing call sites).
-  using Decision = core::Decision;
-  /// Fired on every decision (the RSM layer hooks this).
-  using DecideFn = IAgreementEngine::DecideFn;
+  /// `max_payload_bytes` is the effective RBC frame cap (tests scale it
+  /// down to exercise the over-cap compact-to-checkpoint retry without
+  /// 16MB frames).
+  explicit GwtsProcess(EngineConfig config, DecideFn on_decide = nullptr,
+                       std::shared_ptr<store::BodyStore> store = nullptr,
+                       std::size_t max_payload_bytes = rbc::kMaxPayloadBytes);
 
-  explicit GwtsProcess(GwtsConfig config, DecideFn on_decide = nullptr);
-
-  /// The paper's new_value(v) event: enqueues v for the next round's
-  /// batch. Callable at any time (from the application or the RSM layer).
-  void submit(Value value) override;
-
-  void on_start(net::IContext& ctx) override;
-  void on_message(net::IContext& ctx, NodeId from,
-                  wire::BytesView payload) override;
-  /// Recovery tick (armed only when config.recovery.enabled): on stall,
-  /// re-sends the current phase frame, runs RBC vote-request
-  /// anti-entropy, and re-arms dormant body fetches.
-  void on_timer(net::IContext& ctx, std::uint64_t token) override;
-
-  // -- Observers -----------------------------------------------------------
-
-  [[nodiscard]] const std::vector<Decision>& decisions() const override {
-    return decisions_;
-  }
-  [[nodiscard]] const ValueSet& decided_set() const override {
-    return decided_set_;
-  }
-  [[nodiscard]] std::uint64_t current_round() const { return round_; }
   [[nodiscard]] std::uint64_t safe_round() const { return safe_r_; }
-  [[nodiscard]] std::size_t refinement_count() const { return refinements_; }
-  [[nodiscard]] const rbc::BrachaRbc::Stats& rbc_stats() const {
-    return rbc_.stats();
-  }
-  [[nodiscard]] const store::BodyFetcher::Stats& fetch_stats() const {
-    return rbc_.fetcher().stats();
-  }
-  [[nodiscard]] const store::BodyStore& body_store() const { return *store_; }
-
-  /// True iff `set` was accepted by a Byzantine quorum (appears
-  /// ⌊(n+f)/2⌋+1 times in Ack_history for one round). This is exactly the
-  /// test the RSM confirmation plug-in (Alg. 7) performs before
-  /// acknowledging a client's read.
-  [[nodiscard]] bool is_committed(const ValueSet& set) const override {
-    return committed_sets_.contains(committed_set_digest(set.elements()));
-  }
-
-  [[nodiscard]] const checkpoint::CheckpointManager* checkpoints()
-      const override {
-    return ckpt_.enabled() ? &ckpt_ : nullptr;
-  }
-  /// Delta cardinality of the acceptor state (the boundedness gauge the
-  /// checkpoint soak asserts on; the logical accepted set additionally
-  /// contains every own-checkpoint element).
-  [[nodiscard]] std::size_t accepted_delta_size() const {
-    return accepted_set_.size();
-  }
 
 private:
   enum class State { kDisclosing, kProposing, kStopped };
@@ -180,13 +105,33 @@ private:
   [[nodiscard]] bool safe_at(const std::vector<Value>& elems,
                              std::uint64_t round) const;
 
-  void start_round();
+  // -- EngineBase hooks ---------------------------------------------------
+  void start_round() override;
+  bool handle_layer_frame(NodeId from, std::uint8_t type,
+                          wire::Decoder& dec) override;
+  /// Point-to-point ack-req / nack; also the replay target for frames
+  /// parked on missing bodies or an unknown checkpoint root.
+  void handle_frame(NodeId from, wire::BytesView frame) override;
+  store::BodyFetcher& fetcher() override { return rbc_.fetcher(); }
+  /// RBC vote-request anti-entropy, pull retries, discovery probes, then
+  /// the disclosure or ack-req re-send.
+  void on_stall() override;
+  [[nodiscard]] std::uint64_t phase() const override {
+    return static_cast<std::uint64_t>(state_);
+  }
+  /// Quorum-vouched snapshots merge into the decided chain — the laggard
+  /// catch-up path.
+  void on_snapshot_adopted(const checkpoint::Snapshot& snap,
+                           bool quorum) override;
+
+  /// Reliably broadcasts round_'s disclosure of `batch`; false if the
+  /// RBC refused it (frame cap).
+  bool broadcast_disclosure(const ValueSet& batch);
+  /// Reliably broadcasts our acceptance of accepted_set_ in `round`
+  /// under a fresh ack tag; false if the RBC refused it (frame cap).
+  bool broadcast_ack(std::uint64_t round);
   void begin_proposing();
   void send_ack_req();
-  /// Point-to-point frame body (after the type byte was consumed by
-  /// on_message); also the replay target for frames parked on missing
-  /// bodies. Requires ctx_ set.
-  void handle_point_frame(NodeId from, wire::BytesView payload);
   void on_rbc_deliver(NodeId origin, std::uint64_t tag, wire::Bytes payload);
   void on_disclosure(NodeId origin, std::uint64_t round, wire::Bytes payload);
   /// `seq` is the ack-tag counter of the delivering Bracha instance
@@ -199,8 +144,6 @@ private:
   void handle_nack(const PendingPoint& msg);
   void drain_waiting();
   void check_decide();
-  void note_progress();
-  void recover_stall();
   // -- checkpoint integration ----------------------------------------------
   /// proposed_set_ / accepted_set_ are stored as DELTAS relative to the
   /// own latest checkpoint (the frames ship [root]+delta, and retaining
@@ -216,10 +159,6 @@ private:
   /// expiry floor may jump over undelivered-seq gaps (their content is
   /// answered by the snapshot, never by a probe).
   void compact_state(bool covered_idle = false);
-  /// Adoption upcall from the CheckpointManager (see checkpoint.hpp for
-  /// the two-tier safety argument). Quorum-vouched snapshots merge into
-  /// the decided chain — the laggard catch-up path.
-  void on_snapshot_adopted(const checkpoint::Snapshot& snap, bool quorum);
   /// Anti-entropy discovery (recovery only): kVoteReq probes for RBC
   /// instances whose every frame fell inside a partition / crash window
   /// — invisible to retry_undelivered, but nameable because disclosure
@@ -228,36 +167,19 @@ private:
   /// normal decide path then replays in order.
   void probe_missed_instances();
 
-  GwtsConfig config_;
-  DecideFn on_decide_;
-  net::IContext* ctx_ = nullptr;
-  // Declared before rbc_: the RBC shares this store (its digest frames
-  // and our value references resolve against the same bodies) and this
-  // registry.
-  std::shared_ptr<store::BodyStore> store_;
-  std::shared_ptr<obs::Registry> registry_;
+  // Shares the base's store (its digest frames and our value references
+  // resolve against the same bodies) and registry.
   rbc::BrachaRbc rbc_;
-  checkpoint::CheckpointManager ckpt_;  // after rbc_: sends through ctx_
-  obs::Counter obs_rounds_;
-  obs::Counter obs_decisions_;
-  obs::Counter obs_refinements_;
   obs::Counter obs_broadcast_rejected_;  // warning: RBC refused our frame
-  obs::Counter obs_retries_;             // stall-recovery passes run
   obs::Counter obs_compact_retries_;  // over-cap frames rescued by a
                                       // forced checkpoint + re-encode
   obs::Gauge obs_accepted_delta_;  // acceptor delta cardinality
   obs::Gauge obs_proposed_delta_;  // proposer delta cardinality
 
-  // Proposer state (Alg. 3).
+  // Proposer state (Alg. 3). The decided set (base) is always full.
   State state_ = State::kDisclosing;
-  std::uint64_t round_ = 0;
   std::uint64_t ts_ = 0;
-  std::map<std::uint64_t, ValueSet> batches_;
   ValueSet proposed_set_;  // DELTA vs own checkpoint (see expand())
-  ValueSet decided_set_;   // always full: the engine-contract observable
-  std::vector<Decision> decisions_;
-  std::size_t refinements_ = 0;
-  bool started_ = false;
 
   // Safe-value bookkeeping: min round at which each value was disclosed,
   // plus per-round disclosure counters. safety_version_ bumps whenever
@@ -272,8 +194,6 @@ private:
   std::map<AckKey, std::set<NodeId>> ack_history_;
   std::map<std::uint64_t, std::vector<AckKey>> committed_by_round_;
   std::set<std::uint64_t> rounds_with_commit_;
-  // Canonical-encoding digests of quorum-committed sets (is_committed).
-  std::set<crypto::Sha256::Digest> committed_sets_;
 
   // Acceptor state (Alg. 4).
   ValueSet accepted_set_;  // DELTA vs own checkpoint (see expand())
@@ -282,13 +202,6 @@ private:
   std::set<AckKey> ack_broadcasts_done_;
 
   // Recovery state (unused unless config_.recovery.enabled).
-  double last_progress_ = 0.0;
-  // When round_ last advanced. A laggard inside a live system keeps
-  // receiving new-round traffic (which counts as progress), so
-  // last_progress_ alone never trips the watchdog even though the
-  // engine is wedged locally — the round clock is the signal that does.
-  double last_round_change_ = 0.0;
-  std::size_t resends_ = 0;
   std::map<AckKey, std::size_t> reack_counts_;
   // Discovery-probe bookkeeping (probe_missed_instances): the highest
   // round observed in any peer frame, the highest ack-tag counter seen
@@ -306,9 +219,6 @@ private:
   /// First not-yet-expired ack seq per origin (the contiguous prefix
   /// below it has been handed to rbc_.expire_below).
   std::map<NodeId, std::uint64_t> ack_expired_floor_;
-  /// Round the latest own checkpoint was taken in (the Bracha expiry
-  /// reference point).
-  std::uint64_t ckpt_round_ = 0;
 
   std::deque<PendingPoint> waiting_point_;
   std::deque<PendingAck> waiting_acks_;

@@ -455,6 +455,11 @@ void SocketNetwork::establish(Conn& conn, NodeId id) {
     peer.backoff = 0.0;  // healthy again: future redials start fresh
   }
   obs_connects_.inc();
+  recount_established();
+  pump_outbox(id);
+}
+
+void SocketNetwork::recount_established() {
   std::size_t established = 0;
   for (const auto& [pid, p] : peers_) {
     if ((p.out && p.out->established()) || (p.in && p.in->established())) {
@@ -463,7 +468,6 @@ void SocketNetwork::establish(Conn& conn, NodeId id) {
   }
   established_count_.store(established, std::memory_order_relaxed);
   obs_established_.set(static_cast<double>(established));
-  pump_outbox(id);
 }
 
 void SocketNetwork::drop_conn(Conn* conn, const char* why, bool gc_peer) {
@@ -497,14 +501,7 @@ void SocketNetwork::drop_conn(Conn* conn, const char* why, bool gc_peer) {
   }
   if (owned) graveyard_.push_back(std::move(owned));
 
-  std::size_t established = 0;
-  for (const auto& [pid, p] : peers_) {
-    if ((p.out && p.out->established()) || (p.in && p.in->established())) {
-      ++established;
-    }
-  }
-  established_count_.store(established, std::memory_order_relaxed);
-  obs_established_.set(static_cast<double>(established));
+  recount_established();
 
   // The state machine's backoff edge: outbound links to cluster members
   // redial with exponential backoff + jitter.

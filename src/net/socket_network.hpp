@@ -180,6 +180,9 @@ private:
   /// superseding handshake is about to install a replacement connection
   /// and the queued outbox should survive the swap.
   void drop_conn(Conn* conn, const char* why, bool gc_peer = true);
+  /// Recomputes the established-peer count (and its gauge) after a link
+  /// came up or went down.
+  void recount_established();
   void pump_outbox(NodeId id);
   [[nodiscard]] Conn* route(NodeId id);
   void accept_pending();

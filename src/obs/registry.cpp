@@ -262,4 +262,12 @@ std::string Registry::to_json() const {
   return out;
 }
 
+std::shared_ptr<Registry> registry_or_private(
+    std::shared_ptr<Registry> given) {
+  if (given) return given;
+  auto fresh = std::make_shared<Registry>();
+  fresh->lifecycle().set_enabled(false);
+  return fresh;
+}
+
 }  // namespace bla::obs

@@ -4,8 +4,8 @@
 // One registry holds every named counter, gauge, and latency histogram a
 // run produces, plus the TraceLog ring and the command Lifecycle
 // tracker. Components receive a shared_ptr<Registry> through their
-// Config; when none is provided they create a private one (the
-// BodyStore idiom), so per-instance Stats stay exact in unit tests while
+// Config; when none is provided they create a private one through
+// registry_or_private (lifecycle tracking off), so per-instance Stats stay exact in unit tests while
 // scenario/bench code can hand every node a single registry and read the
 // whole system at once. Shared registries disambiguate with name
 // prefixes ("node0/rbc/delivered").
@@ -159,5 +159,12 @@ private:
   TraceLog trace_;
   Lifecycle lifecycle_;
 };
+
+/// The one private-registry rule for components handed an optional
+/// registry: `given` itself, or — when null — a fresh private registry
+/// with command-lifecycle tracking disabled (nobody reads a private
+/// registry's lifecycle, and tracking hashes every marked value).
+[[nodiscard]] std::shared_ptr<Registry> registry_or_private(
+    std::shared_ptr<Registry> given);
 
 }  // namespace bla::obs

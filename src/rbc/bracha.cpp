@@ -15,8 +15,7 @@ BrachaRbc::BrachaRbc(Config config, SendFn send, DeliverFn deliver)
       deliver_(std::move(deliver)),
       store_(config_.store ? config_.store
                            : std::make_shared<store::BodyStore>()),
-      registry_(config_.registry ? config_.registry
-                                 : std::make_shared<obs::Registry>()),
+      registry_(obs::registry_or_private(config_.registry)),
       fetcher_(
           store::BodyFetcher::Config{config_.self, config_.n,
                                      config_.max_payload_bytes,

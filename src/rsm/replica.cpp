@@ -6,28 +6,22 @@ namespace bla::rsm {
 
 namespace {
 constexpr std::size_t kMaxPendingConfs = 1 << 14;
+
+ReplicaConfig with_registry(ReplicaConfig config) {
+  config.registry = obs::registry_or_private(std::move(config.registry));
+  return config;
 }
+}  // namespace
 
 RsmReplica::RsmReplica(ReplicaConfig config)
-    : config_(std::move(config)),
+    : config_(with_registry(std::move(config))),
       store_(std::make_shared<store::BodyStore>()),
-      registry_(config_.registry ? config_.registry
-                                 : std::make_shared<obs::Registry>()),
       engine_(core::make_engine(
-          config_.engine,
-          core::EngineConfig{config_.self, config_.n, config_.f,
-                             config_.max_rounds, config_.digest_refs, store_,
-                             registry_, config_.recovery,
-                             config_.checkpoint_interval},
-          config_.signer,
-          [this](const core::Decision& d) { on_decide(d); })) {
-  // Lifecycle tracking hashes every value it marks; with a private
-  // registry nobody reads the result, so spare the work. (The engine and
-  // everything below see the registry as "provided" and respect this.)
-  if (!config_.registry) registry_->lifecycle().set_enabled(false);
+          config_.engine, config_, config_.signer,
+          [this](const core::Decision& d) { on_decide(d); }, store_)) {
   const std::string p = "node" + std::to_string(config_.self) + "/rsm/";
-  batches_admitted_ = registry_->counter(p + "batches_admitted");
-  batches_rejected_ = registry_->counter(p + "batches_rejected");
+  batches_admitted_ = config_.registry->counter(p + "batches_admitted");
+  batches_rejected_ = config_.registry->counter(p + "batches_rejected");
   // The verifier shares the replica-wide store with the engine: one
   // verify-once memo for the whole replica, so each batch body is stored
   // and signature-checked once per replica.
@@ -140,9 +134,9 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
   // values from a single signature. Canonicalizing collapses every
   // spelling to one value (and one verify-once memo entry).
   Value value = batch::batch_value(b);
-  registry_->trace_event(config_.self, obs::EventKind::kPropose,
-                         obs::id64(store::body_digest(value)),
-                         b.commands.size());
+  config_.registry->trace_event(config_.self, obs::EventKind::kPropose,
+                                obs::id64(store::body_digest(value)),
+                                b.commands.size());
   // Register the body immediately: peers may pull it by reference the
   // moment our disclosure/init mentions it.
   store_->put(value);
@@ -158,7 +152,8 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
 }
 
 void RsmReplica::on_decide(const core::Decision& decision) {
-  if (registry_->lifecycle().enabled()) {
+  obs::Registry& registry = *config_.registry;
+  if (registry.lifecycle().enabled()) {
     // Decisions are cumulative, so most values here repeat from earlier
     // decisions — the Lifecycle's monotone marking dedups them, and the
     // engine-agnostic placement means GWTS and GSbS feed the same
@@ -168,12 +163,12 @@ void RsmReplica::on_decide(const core::Decision& decision) {
     // (simulated) gap, which is 0 in this runtime by construction.
     for (const Value& v : decision.set) {
       const auto d = store::body_digest(v);
-      registry_->lifecycle().mark(d, obs::Stage::kDecide, config_.self);
-      registry_->lifecycle().mark(d, obs::Stage::kExecute, config_.self);
+      registry.lifecycle().mark(d, obs::Stage::kDecide, config_.self);
+      registry.lifecycle().mark(d, obs::Stage::kExecute, config_.self);
     }
   }
-  registry_->trace_event(config_.self, obs::EventKind::kExecute,
-                         decision.round, decision.set.size());
+  registry.trace_event(config_.self, obs::EventKind::kExecute, decision.round,
+                       decision.set.size());
   // Alg. 5 line 5: push <decide, Accepted_set, replica> to every client.
   // Clients occupy every node id ≥ n. Decided state is cumulative, so
   // the digest form keeps this O(32·|set|) per notification instead of

@@ -25,37 +25,22 @@
 
 namespace bla::rsm {
 
-struct ReplicaConfig {
-  NodeId self = 0;
-  std::size_t n = 0;  // replica count (n ≥ 3f+1)
-  std::size_t f = 0;
-  std::uint64_t max_rounds = 0;  // 0 = unbounded
+/// The backing engine's config (n = replica count, n ≥ 3f+1; a null
+/// registry becomes a private one, see obs::registry_or_private; pass a
+/// shared registry to get the per-stage latency histograms) plus the
+/// replica's own fields.
+struct ReplicaConfig : core::EngineConfig {
   /// Which agreement engine backs the replica (default: the paper's GWTS).
   core::EngineKind engine = core::EngineKind::kGwts;
   /// Signing handle. Required for the GSbS engine; also enables the
   /// batched submission path (verifying client batch signatures). A
   /// GWTS replica without a signer still serves the per-command path.
   std::shared_ptr<const crypto::ISigner> signer;
-  /// Digest-only dissemination in the backing engine (see src/store/).
-  bool digest_refs = true;
   /// Push decide notifications as element digests (kRsmDecideDigest)
   /// instead of full value sets. Only for deployments whose clients all
   /// match digests (BatchClient does; the plain RsmClient needs values),
   /// hence opt-in rather than tied to digest_refs.
   bool digest_decide_notifications = false;
-  /// Observability registry shared down through the engine, RBC, and
-  /// fetcher. When null a private registry is created with
-  /// command-lifecycle tracking disabled (nobody reads it, and tracking
-  /// hashes every decided value); pass a shared registry to get the
-  /// per-stage latency histograms.
-  std::shared_ptr<obs::Registry> registry;
-  /// Opt-in lossy-link recovery, forwarded into the backing engine (see
-  /// core::RecoveryConfig). Default off.
-  core::RecoveryConfig recovery;
-  /// Checkpoint every N decided elements (0 = disabled), forwarded into
-  /// the backing engine (see src/checkpoint/). Bounds body-store, working
-  /// sets, and RBC instance state for long-running replicas.
-  std::size_t checkpoint_interval = 0;
 };
 
 class RsmReplica : public net::IProcess {
@@ -88,7 +73,7 @@ public:
   /// The replica's observability registry (the config's, or the private
   /// one created when none was passed).
   [[nodiscard]] const std::shared_ptr<obs::Registry>& registry() const {
-    return registry_;
+    return config_.registry;
   }
   [[nodiscard]] const batch::BatchVerifier* batch_verifier() const {
     return verifier_ ? &*verifier_ : nullptr;
@@ -111,9 +96,8 @@ private:
   [[nodiscard]] wire::Bytes encode_decide_frame(const ValueSet& set) const;
   void drain_pending_confirmations();
 
-  ReplicaConfig config_;
+  ReplicaConfig config_;  // registry always set: shared down to the engine
   std::shared_ptr<store::BodyStore> store_;
-  std::shared_ptr<obs::Registry> registry_;  // before engine_: shared down
   std::unique_ptr<core::IAgreementEngine> engine_;
   std::optional<batch::BatchVerifier> verifier_;  // engaged iff signer set
   net::IContext* ctx_ = nullptr;

@@ -19,8 +19,7 @@ BodyFetcher::BodyFetcher(Config config, std::shared_ptr<BodyStore> store,
     : config_(std::move(config)),
       store_(std::move(store)),
       send_(std::move(send)),
-      registry_(config_.registry ? config_.registry
-                                 : std::make_shared<obs::Registry>()) {
+      registry_(obs::registry_or_private(config_.registry)) {
   const std::string p = "node" + std::to_string(config_.self) + "/fetch/";
   stats_.fetches_sent = registry_->counter(p + "fetches_sent");
   stats_.replies_served = registry_->counter(p + "replies_served");

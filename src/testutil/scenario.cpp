@@ -124,8 +124,8 @@ GwtsScenario::GwtsScenario(GwtsScenarioOptions options)
     state->per_round = options_.values_per_round;
 
     auto process = std::make_unique<core::GwtsProcess>(
-        core::GwtsConfig{id, options_.n, options_.f,
-                         options_.rounds + options_.settle_rounds},
+        core::EngineConfig{id, options_.n, options_.f,
+                           options_.rounds + options_.settle_rounds},
         [state](const core::GwtsProcess::Decision&) {
           const std::size_t begin = state->next_chunk * state->per_round;
           if (begin >= state->values.size()) return;

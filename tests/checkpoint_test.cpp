@@ -299,7 +299,7 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
   std::vector<core::GwtsProcess*> procs;
   std::vector<std::shared_ptr<Feeder>> feeders;
   for (net::NodeId id = 0; id < kN; ++id) {
-    core::GwtsConfig gc;
+    core::EngineConfig gc;
     gc.self = id;
     gc.n = kN;
     gc.f = kF;
@@ -308,7 +308,6 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
     // outgrows one frame within a few rounds, which is exactly the
     // regression — pre-checkpoint GWTS counted the drop and wedged.
     gc.digest_refs = false;
-    gc.max_payload_bytes = 4096;
     // Enabled but with an interval the run never reaches: the *only* way
     // a frame stays under the cap is the force-checkpoint-and-retry path
     // this test pins down (a small interval would compact proactively
@@ -318,9 +317,11 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
     auto feeder = std::make_shared<Feeder>();
     feeder->id = id;
     auto p = std::make_unique<core::GwtsProcess>(
-        gc, [feeder](const core::Decision&) {
+        gc,
+        [feeder](const core::Decision&) {
           if (feeder->fed < kRounds) feeder->feed();
-        });
+        },
+        /*store=*/nullptr, /*max_payload_bytes=*/4096);
     feeder->proc = p.get();
     procs.push_back(p.get());
     feeders.push_back(std::move(feeder));

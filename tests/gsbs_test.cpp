@@ -95,7 +95,7 @@ struct GsbsFixture {
       };
       auto feed = std::make_shared<Feed>();
       feed->values = mine;
-      GsbsConfig config{id, n, f, rounds + settle};
+      EngineConfig config{id, n, f, rounds + settle};
       config.registry = registry;
       auto counter = std::make_shared<CountingSigner>(signers->signer_for(id));
       counters.push_back(counter);
@@ -317,7 +317,7 @@ TEST(Gsbs, RunsOnRealEd25519) {
   net::SimNetwork net({.seed = 9, .delay = nullptr});
   std::vector<GsbsProcess*> correct;
   for (net::NodeId id = 0; id < 3; ++id) {
-    auto proc = std::make_unique<GsbsProcess>(GsbsConfig{id, 4, 1, 1},
+    auto proc = std::make_unique<GsbsProcess>(EngineConfig{id, 4, 1, 1},
                                               signers->signer_for(id));
     wire::Encoder v;
     v.str("ed");

@@ -193,7 +193,7 @@ TEST(Gwts, EmptyBatchesStillRotateRounds) {
   net::SimNetwork net({.seed = 1, .delay = nullptr});
   std::vector<GwtsProcess*> procs;
   for (net::NodeId id = 0; id < 4; ++id) {
-    auto p = std::make_unique<GwtsProcess>(GwtsConfig{id, 4, 1, 2});
+    auto p = std::make_unique<GwtsProcess>(EngineConfig{id, 4, 1, 2});
     procs.push_back(p.get());
     net.add_process(std::move(p));
   }
@@ -217,7 +217,7 @@ TEST(Gwts, LateSubmissionLandsInLaterRound) {
     // Generous round budget: a value submitted mid-run lands in a batch
     // near the current frontier and needs settle rounds to be guaranteed
     // into every decision chain (see GwtsScenarioOptions::settle_rounds).
-    auto p = std::make_unique<GwtsProcess>(GwtsConfig{id, 4, 1, 6});
+    auto p = std::make_unique<GwtsProcess>(EngineConfig{id, 4, 1, 6});
     procs.push_back(p.get());
     net.add_process(std::move(p));
   }

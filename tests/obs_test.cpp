@@ -151,6 +151,18 @@ TEST(ObsClock, ManualClockNeverMovesBackwards) {
 // Concurrent counters under the thread runtime.
 // --------------------------------------------------------------------
 
+TEST(ObsRegistry, PrivateRegistryRule) {
+  // A given registry is used as is: same pointer, lifecycle untouched.
+  auto shared = std::make_shared<Registry>();
+  EXPECT_EQ(registry_or_private(shared), shared);
+  EXPECT_TRUE(shared->lifecycle().enabled());
+  // Null gets a fresh private registry with lifecycle tracking off.
+  auto fresh = registry_or_private(nullptr);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh, shared);
+  EXPECT_FALSE(fresh->lifecycle().enabled());
+}
+
 TEST(ObsThreadNetwork, RegistryCountersMatchNodeMetrics) {
   // A small all-to-all flood: every node bounces each message a few
   // times, so the four node threads hammer the shared net/* counters

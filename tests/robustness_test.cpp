@@ -81,7 +81,7 @@ TEST_P(FuzzSeeds, GwtsSurvivesGarbage) {
   fuzz_process(
       [] {
         auto p = std::make_unique<core::GwtsProcess>(
-            core::GwtsConfig{0, 4, 1, 3});
+            core::EngineConfig{0, 4, 1, 3});
         p->submit(lattice::value_from("x"));
         return p;
       },
@@ -104,7 +104,7 @@ TEST_P(FuzzSeeds, GsbsSurvivesGarbage) {
   fuzz_process(
       [&] {
         auto p = std::make_unique<core::GsbsProcess>(
-            core::GsbsConfig{0, 4, 1, 2}, signers->signer_for(0));
+            core::EngineConfig{0, 4, 1, 2}, signers->signer_for(0));
         p->submit(lattice::value_from("x"));
         return p;
       },
