@@ -1,6 +1,6 @@
 // Generative Byzantine fuzzer driver.
 //
-// Default sweep: 25 seeds x {GWTS, GSbS} x {sim, thread} = 100 seeded
+// Default sweep: 25 seeds x {GWTS, GSbS} x {sim, socket} = 100 seeded
 // schedules, each a random cocktail of <= f Byzantine adversaries plus a
 // seeded FaultPlan (loss / duplication / reordering / partitions /
 // crash-recover windows), run with engine recovery and client
@@ -40,7 +40,7 @@ struct Options {
   std::uint64_t seed_begin = 1;
   std::uint64_t seed_end = 26;  // exclusive
   std::vector<EngineKind> engines = {EngineKind::kGwts, EngineKind::kGsbs};
-  std::vector<NetKind> nets = {NetKind::kSim, NetKind::kThread};
+  std::vector<NetKind> nets = {NetKind::kSim, NetKind::kSocket};
   std::string spec;  // non-empty: replay this one schedule
   bool shrink = true;
   std::string out = "fuzz_failures.txt";
@@ -79,8 +79,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const std::string n = v;
       if (n == "sim") {
         opt.nets = {NetKind::kSim};
-      } else if (n == "thread") {
-        opt.nets = {NetKind::kThread};
+      } else if (n == "socket") {
+        opt.nets = {NetKind::kSocket};
       } else if (n != "both") {
         return false;
       }
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) {
     std::fprintf(stderr,
                  "usage: %s [--seed=N | --seeds=A:B] "
-                 "[--engine=gwts|gsbs|both] [--net=sim|thread|both] "
+                 "[--engine=gwts|gsbs|both] [--net=sim|socket|both] "
                  "[--spec='...'] [--shrink|--no-shrink] [--out=FILE] "
                  "[--ckpt=N] [--laggard]\n",
                  argv[0]);

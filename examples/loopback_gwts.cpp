@@ -1,19 +1,22 @@
-// GWTS on the real threaded runtime: one OS thread per process, genuine
-// concurrency, no simulated clock. The same protocol objects that run on
-// the deterministic simulator run here unchanged — the IProcess interface
-// is the only contract.
+// GWTS on the deployed socket runtime: every process on its own
+// SocketNetwork event loop, talking over loopback TCP inside one binary —
+// genuine concurrency, no simulated clock. The same protocol objects that
+// run on the deterministic simulator run here unchanged; the IProcess
+// interface is the only contract.
 //
 // Seven processes (f=2): five correct proposers streaming values over
 // three rounds, one crashed process, one garbage-spamming process.
 //
-// Build & run:   ./build/examples/threaded_gwts
+// Build & run:   ./build/examples/example_loopback_gwts
 
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "core/adversary.hpp"
 #include "core/gwts.hpp"
 #include "lattice/lattice.hpp"
-#include "net/thread_network.hpp"
+#include "testutil/socket_scenario.hpp"
 
 using namespace bla;
 
@@ -22,11 +25,11 @@ int main() {
   constexpr std::size_t f = 2;
   constexpr std::uint64_t rounds = 3;
 
-  net::ThreadNetwork net;
+  testutil::LoopbackHost host(n);
   std::vector<core::GwtsProcess*> correct;
   for (net::NodeId id = 0; id < n - f; ++id) {
     // Stream one value per round via the decide callback. The callback
-    // runs on the process's own thread, so submit() needs no locking.
+    // runs on the process's own event loop, so submit() needs no locking.
     auto holder = std::make_shared<core::GwtsProcess*>(nullptr);
     auto proc = std::make_unique<core::GwtsProcess>(
         core::EngineConfig{id, n, f, rounds},
@@ -46,21 +49,28 @@ int main() {
     first.u64(0);
     proc->submit(first.take());
     correct.push_back(proc.get());
-    net.add_process(std::move(proc));
+    host.host(id, std::move(proc));
   }
-  net.add_process(std::make_unique<core::SilentProcess>());
-  net.add_process(std::make_unique<core::GarbageSpammer>(123, 128));
+  host.host(n - 2, std::make_unique<core::SilentProcess>());
+  host.host(n - 1, std::make_unique<core::GarbageSpammer>(123, 128));
 
-  std::printf("GWTS on %zu OS threads (n=%zu, f=%zu, %llu rounds)...\n",
+  std::printf("GWTS on %zu socket event loops (n=%zu, f=%zu, %llu rounds)...\n",
               n, n, f, static_cast<unsigned long long>(rounds));
-  net.start();
-  const bool quiescent = net.wait_quiescent(/*timeout_ms=*/30'000);
-  net.stop();
-
-  if (!quiescent) {
-    std::printf("network did not quiesce in time\n");
-    return 1;
+  // Decisions live on each loop thread; read them there through call().
+  const auto all_decided = [&] {
+    bool all = true;
+    for (net::NodeId id = 0; id < correct.size(); ++id) {
+      host.net(id).call(
+          [&] { all = all && correct[id]->decisions().size() >= rounds; });
+    }
+    return all;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!all_decided() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  host.kill();
 
   bool ok = true;
   std::vector<core::ValueSet> all;

@@ -70,6 +70,17 @@ sleep 2
 echo "== graceful drain: SIGTERM all replicas, require exit 0"
 for i in 0 1 2 3; do kill -TERM "${PIDS[$i]}"; done
 for i in 0 1 2 3; do
+  # Bounded at 15 s: a lost SIGTERM fails here instead of hanging the job.
+  for ((t = 0; t < 150; t++)); do
+    kill -0 "${PIDS[$i]}" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "${PIDS[$i]}" 2>/dev/null; then
+    echo "cluster_smoke: FAIL — replica $i still running 15 s after" \
+      "one SIGTERM" >&2
+    cat "$WORK/replica$i.log" >&2
+    exit 1
+  fi
   if ! wait "${PIDS[$i]}"; then
     echo "cluster_smoke: FAIL — replica $i did not exit cleanly" >&2
     cat "$WORK/replica$i.log" >&2

@@ -13,7 +13,7 @@
 // Pure bookkeeping — no I/O, and no clock beyond the obs registry's
 // (whose timestamps feed the seal/confirm lifecycle stages but never
 // protocol decisions) — so it unit-tests without a network and runs
-// unchanged under the simulator and the thread runtime.
+// unchanged under the simulator and the socket runtime.
 
 #include <cstdint>
 #include <map>

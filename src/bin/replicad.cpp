@@ -17,9 +17,13 @@
 //
 // Lifecycle: SIGTERM/SIGINT trigger a graceful drain (SocketNetwork::
 // stop flushes queues for up to drain_timeout) and exit 0 — the clean
-// path CI asserts. kill -9 is the crash path: no drain, no dump; on
-// restart the replica rejoins through the checkpoint catch-up protocol
-// (kCkptPull/kCkptSnapshot) and the cluster's recovery layer.
+// path CI asserts. Both signals are blocked before the event-loop thread
+// exists (it inherits the mask) and main takes them with sigwait, so no
+// thread can swallow one. kill -9 is the crash path: no drain, no dump;
+// on restart the replica rejoins through the checkpoint catch-up
+// protocol (kCkptPull/kCkptSnapshot) and the cluster's recovery layer.
+
+#include <pthread.h>
 
 #include <csignal>
 #include <cstdio>
@@ -39,10 +43,6 @@
 using namespace bla;
 
 namespace {
-
-volatile std::sig_atomic_t g_shutdown = 0;
-
-void on_signal(int) { g_shutdown = 1; }
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<net::IProcess> proc =
       std::make_unique<rsm::RsmReplica>(rc);
-  // Satellite: the PR 7 fault decorator composes over the socket backend
-  // exactly as over the in-process runtimes — wrap before hosting.
+  // The fault decorator composes over the socket backend exactly as over
+  // the simulator — wrap before hosting.
   fault::FaultyNetwork faults(plan, registry);
   if (!plan.empty()) proc = faults.wrap(std::move(proc));
 
@@ -149,6 +149,11 @@ int main(int argc, char** argv) {
   nc.registry = registry;
   net::SocketNetwork net(std::move(nc));
   net.host(std::move(proc));
+  sigset_t shutdown_signals;
+  sigemptyset(&shutdown_signals);
+  sigaddset(&shutdown_signals, SIGTERM);
+  sigaddset(&shutdown_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &shutdown_signals, nullptr);
   try {
     net.start();
   } catch (const std::exception& e) {
@@ -159,11 +164,8 @@ int main(int argc, char** argv) {
                self, cluster->replicas[self].c_str(), cluster->n, cluster->f,
                cluster->engine.c_str());
 
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  while (g_shutdown == 0) {
-    pause();  // signals are the only thing that wakes us
-  }
+  int signal_number = 0;
+  sigwait(&shutdown_signals, &signal_number);
 
   std::fprintf(stderr, "replicad: node %u draining\n", self);
   net.stop();

@@ -1,9 +1,9 @@
 #pragma once
 // Fault-injecting network decorator. The paper's §3 model assumes
-// reliable authenticated links, and both in-process runtimes honor that;
-// real deployments (ROADMAP item 2) will not. FaultyNetwork wraps each
-// IProcess before registration with either runtime and executes a
-// seeded, replayable FaultPlan against its traffic:
+// reliable authenticated links; the simulator honors that, real
+// deployments will not. FaultyNetwork wraps each IProcess before either
+// runtime hosts it and executes a seeded, replayable FaultPlan against
+// its traffic:
 //
 //   - per-link drop / duplicate / reorder probabilities,
 //   - scheduled partitions with a heal time,
@@ -23,7 +23,7 @@
 // plan. On SimNetwork every injector call happens on one thread in event
 // order, so a (plan, seed, processes) triple replays bit-for-bit. Plan
 // times are relative to the first timestamp the injector observes
-// (ThreadNetwork's now() is a steady_clock epoch, the simulator's starts
+// (SocketNetwork's now() is a steady_clock epoch, the simulator's starts
 // at zero — relative windows work on both).
 
 #include <cstdint>
@@ -81,7 +81,7 @@ struct FaultPlan {
 };
 
 /// Shared fault state consulted by every wrapped process. Mutex-protected
-/// so the thread runtime's node threads can race into it safely.
+/// so the event loops of several SocketNetworks can race into it safely.
 class FaultInjector {
 public:
   FaultInjector(FaultPlan plan, std::shared_ptr<obs::Registry> registry);
@@ -137,7 +137,7 @@ private:
 };
 
 /// Factory: wrap each process before handing it to SimNetwork or
-/// ThreadNetwork. The FaultyNetwork must outlive the runtime.
+/// SocketNetwork. The FaultyNetwork must outlive the runtime.
 class FaultyNetwork {
 public:
   explicit FaultyNetwork(FaultPlan plan,

@@ -11,10 +11,10 @@
 #include "core/adversary.hpp"
 #include "crypto/signer.hpp"
 #include "net/sim_network.hpp"
-#include "net/thread_network.hpp"
 #include "rsm/command.hpp"
 #include "rsm/replica.hpp"
 #include "testutil/properties.hpp"
+#include "testutil/socket_scenario.hpp"
 
 namespace bla::fault {
 namespace {
@@ -80,7 +80,7 @@ std::string FuzzSchedule::spec() const {
   };
   kv("seed", std::to_string(seed));
   kv("engine", engine == core::EngineKind::kGwts ? "gwts" : "gsbs");
-  kv("net", net == NetKind::kSim ? "sim" : "thread");
+  kv("net", net == NetKind::kSim ? "sim" : "socket");
   kv("n", std::to_string(n));
   kv("f", std::to_string(f));
   kv("clients", std::to_string(clients));
@@ -190,8 +190,8 @@ std::optional<FuzzSchedule> FuzzSchedule::parse(std::string_view spec) {
     } else if (key == "net") {
       if (value == "sim") {
         s.net = NetKind::kSim;
-      } else if (value == "thread") {
-        s.net = NetKind::kThread;
+      } else if (value == "socket") {
+        s.net = NetKind::kSocket;
       } else {
         return std::nullopt;
       }
@@ -313,8 +313,8 @@ FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
   }
 
   // Fault plan. Abstract time units are simulator message delays; the
-  // thread runtime's windows are the same shape scaled to wall seconds.
-  const double ts = net == NetKind::kThread ? kThreadTimeScale : 1.0;
+  // socket runtime's windows are the same shape scaled to wall seconds.
+  const double ts = net == NetKind::kSocket ? kSocketTimeScale : 1.0;
   s.plan.seed = splitmix64(rng) | 1;
   s.plan.default_link.drop = 0.005 * static_cast<double>(splitmix64(rng) % 4);
   s.plan.default_link.duplicate =
@@ -431,7 +431,7 @@ BuiltSystem build_system(const FuzzSchedule& s,
     // The laggard window: replica 0 sleeps through the bulk of the run
     // and recovers late, when peers have checkpointed past its horizon —
     // the snapshot catch-up path is its only way back.
-    const double ts = s.net == NetKind::kThread ? kThreadTimeScale : 1.0;
+    const double ts = s.net == NetKind::kSocket ? kSocketTimeScale : 1.0;
     CrashSpec lag;
     lag.node = 0;
     lag.crash = ts * 10.0;
@@ -599,7 +599,7 @@ FuzzResult run_sim(const FuzzSchedule& s) {
   return result;
 }
 
-FuzzResult run_thread(const FuzzSchedule& s) {
+FuzzResult run_socket(const FuzzSchedule& s) {
   core::RecoveryConfig recovery;
   recovery.enabled = true;
   recovery.tick = 0.03;
@@ -611,21 +611,32 @@ FuzzResult run_thread(const FuzzSchedule& s) {
   retry.max_attempts = 8;
 
   BuiltSystem sys = build_system(s, recovery, retry);
-  net::ThreadNetwork net;
-  for (auto& p : sys.processes) net.add_process(std::move(p));
-  net.start();
+  testutil::LoopbackHost host(s.n, s.seed);
+  host.host_all(std::move(sys.processes));
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(8);
-  while (std::chrono::steady_clock::now() < deadline) {
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(8);
+  while (Clock::now() < deadline) {
     const bool all_done =
         std::all_of(sys.clients.begin(), sys.clients.end(),
                     [](const auto* c) { return c->done(); });
     if (all_done) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  net.wait_quiescent(3000);
-  net.stop();
+  // Quiescence: no process sent a frame for 5 polls in a row (3 s cap).
+  const obs::Counter sent = host.registry()->counter("net/messages_sent");
+  const auto quiet_deadline = Clock::now() + std::chrono::seconds(3);
+  std::uint64_t last = sent.value();
+  for (int idle = 0; idle < 5 && Clock::now() < quiet_deadline;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::uint64_t now_sent = sent.value();
+    idle = now_sent == last ? idle + 1 : 0;
+    last = now_sent;
+  }
+  // kill, not stop: the checks read in-memory state once the loop threads
+  // have joined, and a graceful drain can spend drain_timeout per network
+  // flushing to partitioned peers.
+  host.kill();
 
   FuzzResult result;
   result.injected_faults = sys.faulty->injector().injected_faults();
@@ -637,7 +648,7 @@ FuzzResult run_thread(const FuzzSchedule& s) {
 
 FuzzResult run_schedule(const FuzzSchedule& schedule) {
   return schedule.net == NetKind::kSim ? run_sim(schedule)
-                                       : run_thread(schedule);
+                                       : run_socket(schedule);
 }
 
 // ---------------------------------------------------------------------------
@@ -663,12 +674,12 @@ ShrinkOutcome shrink(const FuzzSchedule& failing, std::size_t max_runs) {
     if (still_fails(out.schedule, v)) out.violation = v;
   }
 
-  // Prefer the deterministic runtime: a thread violation that also
+  // Prefer the deterministic runtime: a socket violation that also
   // reproduces on the simulator shrinks (and replays) reliably.
-  if (out.schedule.net == NetKind::kThread) {
+  if (out.schedule.net == NetKind::kSocket) {
     FuzzSchedule cand = out.schedule;
     cand.net = NetKind::kSim;
-    const double scale = 1.0 / kThreadTimeScale;
+    const double scale = 1.0 / kSocketTimeScale;
     for (PartitionSpec& p : cand.plan.partitions) {
       p.start *= scale;
       p.heal *= scale;

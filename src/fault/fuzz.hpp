@@ -3,7 +3,7 @@
 //
 // A FuzzSchedule is a complete, seed-derived description of one system
 // run: topology (n, f), engine (GWTS / GSbS), runtime (deterministic
-// simulator / thread runtime), client workload, a cocktail of at most f
+// simulator / loopback sockets), client workload, a cocktail of at most f
 // Byzantine adversaries, and a FaultPlan of link faults, partitions, and
 // crash windows. Schedules round-trip through a one-line `key=value;`
 // spec string, so any failure reproduces from a single printed line:
@@ -37,7 +37,7 @@
 
 namespace bla::fault {
 
-enum class NetKind : std::uint8_t { kSim, kThread };
+enum class NetKind : std::uint8_t { kSim, kSocket };
 
 /// Byzantine behaviours the generator can place in a faulty slot (all
 /// from core/adversary.hpp).
@@ -82,10 +82,10 @@ struct FuzzSchedule {
       std::string_view spec);
 };
 
-/// Thread-runtime schedules use wall seconds; this is the factor applied
+/// Socket-runtime schedules use wall seconds; this is the factor applied
 /// to the generator's abstract time units (and inverted when shrink()
-/// moves a thread schedule onto the simulator).
-inline constexpr double kThreadTimeScale = 0.01;
+/// moves a socket schedule onto the simulator).
+inline constexpr double kSocketTimeScale = 0.01;
 
 /// Derives a full schedule from (seed, engine, net). Same triple, same
 /// schedule — the rotating-seed CI job relies on this.

@@ -3,9 +3,9 @@
 // model of paper §3: a complete graph of reliable, authenticated,
 // asynchronous point-to-point links.
 //
-// Both runtimes (the deterministic discrete-event SimNetwork and the real
-// ThreadNetwork) drive the same IProcess interface, so every protocol,
-// adversary, test, and bench runs unchanged on either.
+// Both runtimes (the deterministic discrete-event SimNetwork and the
+// epoll TCP SocketNetwork) drive the same IProcess interface, so every
+// protocol, adversary, test, and bench runs unchanged on either.
 
 #include <cstdint>
 #include <span>
@@ -41,7 +41,7 @@ public:
 
   /// Arms a one-shot timer: `on_timer(ctx, token)` fires on this process
   /// after `delay` time units (simulated time in SimNetwork, wall seconds
-  /// in ThreadNetwork). Defaults to a no-op so minimal contexts (tests,
+  /// in SocketNetwork). Defaults to a no-op so minimal contexts (tests,
   /// adversaries) need not implement timers; protocols that rely on
   /// retransmission must tolerate timers that never fire — the paper's
   /// asynchronous model makes no timing assumptions, timers here only

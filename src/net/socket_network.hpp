@@ -1,10 +1,11 @@
 #pragma once
-// SocketNetwork — the third INetwork-style runtime (ROADMAP item 2):
-// epoll-driven non-blocking TCP hosting ONE IProcess per instance, so
-// n replicas + clients run as separate OS processes (replicad/loadgen)
-// or as separate event loops inside one test binary. The same protocol
-// objects that run on SimNetwork and ThreadNetwork run here unchanged —
-// IProcess/IContext is still the only contract.
+// SocketNetwork — the deployed runtime, next to the deterministic
+// SimNetwork: epoll-driven non-blocking TCP hosting ONE IProcess per
+// instance, so n replicas + clients run as separate OS processes
+// (replicad/loadgen) or as separate event loops inside one binary
+// (testutil::LoopbackHost). The same protocol objects that run on
+// SimNetwork run here unchanged — IProcess/IContext is the only
+// contract.
 //
 // Topology and identity. The config names the cluster members' ids
 // [0, cluster_n) and their listen addresses; ids >= cluster_n are
@@ -36,7 +37,7 @@
 //
 // Threading: one event-loop thread per instance. All process callbacks
 // (on_start/on_message/on_timer) run on that thread, so process code
-// needs no locking — the ThreadNetwork contract. Other threads interact
+// needs no locking. Other threads interact
 // through call(), which runs a closure on the loop thread and waits, or
 // through the hosted process's own atomic accessors (BatchClient::done).
 

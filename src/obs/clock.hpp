@@ -6,7 +6,7 @@
 // same instrumentation reports *simulated* time under net::SimNetwork
 // (the simulator drives a ManualClock to each delivered event's time,
 // i.e. the paper's message-delay cost unit) and *wall-clock* seconds
-// under net::ThreadNetwork (the default WallClock). Protocol code never
+// under net::SocketNetwork (the default WallClock). Protocol code never
 // branches on which runtime it is in.
 
 #include <atomic>

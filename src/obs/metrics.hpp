@@ -9,8 +9,9 @@
 // plain `Stats` structs of these views, instrument unconditionally, and
 // pay nothing when nobody wired a registry up.
 //
-// Increments are lock-free relaxed atomics (hot protocol paths under
-// ThreadNetwork touch them concurrently); reads are snapshot-on-read.
+// Increments are lock-free relaxed atomics (the event loops of several
+// SocketNetworks sharing one registry touch them concurrently); reads are
+// snapshot-on-read.
 // Relaxed is sufficient: metrics are monotone tallies, never used for
 // inter-thread synchronization.
 

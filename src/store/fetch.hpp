@@ -30,7 +30,7 @@
 //
 // The protocol is runtime-agnostic: frames are ordinary point-to-point
 // messages emitted through the injected SendFn, so the same code runs
-// over SimNetwork and ThreadNetwork.
+// over SimNetwork and SocketNetwork.
 
 #include <cstdint>
 #include <deque>

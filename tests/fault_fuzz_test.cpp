@@ -18,7 +18,7 @@ TEST(FuzzSpec, RoundTripsForGeneratedSchedules) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
-      for (NetKind net : {NetKind::kSim, NetKind::kThread}) {
+      for (NetKind net : {NetKind::kSim, NetKind::kSocket}) {
         const FuzzSchedule s = fault::generate_schedule(seed, engine, net);
         const auto parsed = FuzzSchedule::parse(s.spec());
         ASSERT_TRUE(parsed.has_value()) << s.spec();
@@ -132,12 +132,12 @@ TEST(FuzzRun, SimResultsAreDeterministic) {
   EXPECT_EQ(a.commands_failed, b.commands_failed);
 }
 
-TEST(FuzzRun, ThreadSchedulesAreSafe) {
+TEST(FuzzRun, SocketSchedulesAreSafe) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
       const FuzzSchedule s =
-          fault::generate_schedule(seed, engine, NetKind::kThread);
+          fault::generate_schedule(seed, engine, NetKind::kSocket);
       const FuzzResult r = fault::run_schedule(s);
       EXPECT_TRUE(r.safety_ok) << r.violation << "\nrepro: "
                                << fault::repro_command(s);

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "fault/fault.hpp"
 #include "net/sim_network.hpp"
-#include "net/thread_network.hpp"
+#include "net/socket_network.hpp"
 #include "testutil/batch_scenario.hpp"
 
 namespace bla {
@@ -55,11 +57,12 @@ TEST(FaultTimers, SimTimersFireInOrderAndQuiesce) {
   EXPECT_DOUBLE_EQ(c->last_fire(), 3.0);  // 3 chained 1.0 delays
 }
 
-TEST(FaultTimers, ThreadTimersFire) {
-  net::ThreadNetwork net;
+TEST(FaultTimers, SocketTimersFire) {
+  // A one-member cluster: no peers to dial, only the event loop's timers.
+  net::SocketNetwork net({.self = 0, .cluster_n = 1});
   auto counter = std::make_unique<TimerCounter>(3);
   const TimerCounter* c = counter.get();
-  net.add_process(std::move(counter));
+  net.host(std::move(counter));
   net.start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);

@@ -1,20 +1,22 @@
 // Observability layer (src/obs/): metric primitives, trace ring,
 // lifecycle tracking, and the stall watchdog — unit-level (bucket
 // boundaries, quantile math, ring wraparound), concurrency-level
-// (counters under ThreadNetwork), and end-to-end (one registry shared
-// across a full batched-RSM simulation records the per-stage command
-// latency pipeline in causal order).
+// (counters shared by socket event loops), and end-to-end (one registry
+// shared across a full batched-RSM simulation records the per-stage
+// command latency pipeline in causal order).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
-#include "net/thread_network.hpp"
 #include "obs/registry.hpp"
 #include "rbc/bracha.hpp"
 #include "testutil/batch_scenario.hpp"
+#include "testutil/socket_scenario.hpp"
 
 namespace bla::obs {
 namespace {
@@ -148,7 +150,7 @@ TEST(ObsClock, ManualClockNeverMovesBackwards) {
 }
 
 // --------------------------------------------------------------------
-// Concurrent counters under the thread runtime.
+// Concurrent counters under socket event loops.
 // --------------------------------------------------------------------
 
 TEST(ObsRegistry, PrivateRegistryRule) {
@@ -163,10 +165,10 @@ TEST(ObsRegistry, PrivateRegistryRule) {
   EXPECT_FALSE(fresh->lifecycle().enabled());
 }
 
-TEST(ObsThreadNetwork, RegistryCountersMatchNodeMetrics) {
+TEST(ObsSocketNetwork, RegistryCountersMatchNodeMetrics) {
   // A small all-to-all flood: every node bounces each message a few
-  // times, so the four node threads hammer the shared net/* counters
-  // concurrently.
+  // times, so the four event-loop threads hammer the shared net/*
+  // counters concurrently.
   class Flood final : public net::IProcess {
   public:
     void on_start(net::IContext& ctx) override {
@@ -181,22 +183,27 @@ TEST(ObsThreadNetwork, RegistryCountersMatchNodeMetrics) {
     }
   };
 
-  auto registry = std::make_shared<Registry>();
-  net::ThreadNetwork net;
   constexpr std::size_t n = 4;
-  for (std::size_t i = 0; i < n; ++i) {
-    net.add_process(std::make_unique<Flood>());
+  testutil::LoopbackHost host(n);
+  const std::shared_ptr<Registry>& registry = host.registry();
+  for (net::NodeId id = 0; id < n; ++id) {
+    host.host(id, std::make_unique<Flood>());
   }
-  net.attach_registry(registry);
-  net.start();
-  ASSERT_TRUE(net.wait_quiescent(20'000));
-  net.stop();
+  // Every frame sent is delivered once the links are up; then the flood
+  // is over, and nothing sends again.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (registry->counter("net/messages_delivered").value() < 108 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  host.kill();
 
   std::uint64_t sent = 0, delivered = 0, bytes_delivered = 0;
   for (net::NodeId id = 0; id < n; ++id) {
-    sent += net.metrics(id).messages_sent;
-    delivered += net.metrics(id).messages_delivered;
-    bytes_delivered += net.metrics(id).bytes_delivered;
+    sent += host.net(id).metrics().messages_sent;
+    delivered += host.net(id).metrics().messages_delivered;
+    bytes_delivered += host.net(id).metrics().bytes_delivered;
   }
   // 4 nodes × 3 peers × (1 initial + 8 bounces) = 108 one-byte frames.
   EXPECT_EQ(sent, 108u);

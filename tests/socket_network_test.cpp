@@ -1,10 +1,11 @@
 // Socket transport tests (ROADMAP item 2): frame hardening at the
 // transport boundary, handshake rejection, reconnect/backoff, bounded
 // send queues, the fetch protocol's presumed-lost re-arm over real lossy
-// sockets, the fault decorator composed over the socket backend, and the
-// headline robustness scenario — crash a replica mid-load, restart it,
-// and watch it rejoin through the checkpoint catch-up protocol while the
-// surviving quorum keeps committing.
+// sockets, the fault decorator composed over the socket backend, WTS
+// safety under real event-loop concurrency, and the headline robustness
+// scenario — crash a replica mid-load, restart it, and watch it rejoin
+// through the checkpoint catch-up protocol while the surviving quorum
+// keeps committing.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -20,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/adversary.hpp"
+#include "core/wts.hpp"
 #include "fault/fault.hpp"
 #include "gtest/gtest.h"
 #include "net/cluster_config.hpp"
@@ -27,6 +30,8 @@
 #include "net/socket_network.hpp"
 #include "obs/registry.hpp"
 #include "store/fetch.hpp"
+#include "testutil/properties.hpp"
+#include "testutil/scenario.hpp"
 #include "testutil/socket_scenario.hpp"
 #include "wire/wire.hpp"
 
@@ -412,6 +417,16 @@ TEST(SocketNetwork, SelfAndBroadcastDelivery) {
   n0.start();
   EXPECT_TRUE(eventually(5.0, [&] { return raw->got_ == 1; }));
   n0.stop();
+}
+
+TEST(SocketNetwork, StopIsIdempotentAndSafe) {
+  net::SocketNetwork n0({.self = 0, .cluster_n = 1});
+  n0.host(std::make_unique<core::SilentProcess>());
+  n0.start();
+  n0.stop();
+  n0.stop();  // no crash, no hang
+  n0.kill();
+  EXPECT_FALSE(n0.running());
 }
 
 // Raw TCP client for boundary attacks: no SocketNetwork on this side.
@@ -815,40 +830,18 @@ TEST(SocketFetch, FanoutAndPresumedLostRearmUnderRealLoss) {
   plan.partitions.push_back({0.0, 0.6, {0}});
   fault::FaultyNetwork faults(plan, reg);
 
-  std::vector<ListenSlot> slots(n);
-  std::vector<std::string> peers;
-  for (auto& slot : slots) {
-    slot = bind_loopback();
-    peers.push_back("127.0.0.1:" + std::to_string(slot.port));
-  }
-
+  testutil::LoopbackHost host(n, /*seed=*/100, reg);
   auto requester = std::make_unique<FetchRequester>(n, want, reg);
   FetchRequester* requester_raw = requester.get();
-  std::vector<std::unique_ptr<net::SocketNetwork>> nets;
-  for (std::size_t id = 0; id < n; ++id) {
-    std::unique_ptr<net::IProcess> proc;
-    if (id == 0) {
-      proc = std::move(requester);
-    } else {
-      proc = std::make_unique<FetchProvider>(static_cast<net::NodeId>(id),
-                                             n, body);
-    }
-    auto network = std::make_unique<net::SocketNetwork>(
-        net::SocketNetwork::Config{.self = static_cast<net::NodeId>(id),
-                                   .cluster_n = n,
-                                   .peers = peers,
-                                   .listen_fd = slots[id].fd,
-                                   .seed = 100 + id,
-                                   .registry = reg});
-    network->host(faults.wrap(std::move(proc)));
-    nets.push_back(std::move(network));
+  host.host(0, faults.wrap(std::move(requester)));
+  for (net::NodeId id = 1; id < n; ++id) {
+    host.host(id, faults.wrap(std::make_unique<FetchProvider>(id, n, body)));
   }
-  for (auto& network : nets) network->start();
 
   EXPECT_TRUE(eventually(20.0, [&] { return requester_raw->resolved(); }));
 
   std::uint64_t fetches = 0, rearms = 0, fetched = 0;
-  nets[0]->call([&] {
+  host.net(0).call([&] {
     fetches = requester_raw->fetcher().stats().fetches_sent.value();
     rearms = requester_raw->fetcher().stats().rearms.value();
     fetched = requester_raw->fetcher().stats().bodies_fetched.value();
@@ -862,7 +855,69 @@ TEST(SocketFetch, FanoutAndPresumedLostRearmUnderRealLoss) {
   // The decorator actually injected loss on the socket backend.
   EXPECT_GT(faults.injector().injected_faults(), 0u);
 
-  for (auto& network : nets) network->stop();
+  host.stop();
+}
+
+// ---------------------------------------------------------------------------
+// WTS under real concurrency: event-loop interleavings the deterministic
+// simulator never produces. Repeated runs widen the schedule coverage.
+// ---------------------------------------------------------------------------
+
+/// Hosts n-f correct WTS proposers at ids [0, n-f) and `byzantine` above
+/// them, waits until every correct one decides, and returns the
+/// decisions of those that did.
+std::vector<core::ValueSet> run_wts(
+    std::size_t n, std::size_t f,
+    std::vector<std::unique_ptr<net::IProcess>> byzantine) {
+  testutil::LoopbackHost host(n);
+  std::vector<const core::WtsProcess*> correct;
+  for (net::NodeId id = 0; id < n - f; ++id) {
+    auto p = std::make_unique<core::WtsProcess>(
+        core::WtsConfig{id, n, f}, testutil::proposal_value(id));
+    correct.push_back(p.get());
+    host.host(id, std::move(p));
+  }
+  for (std::size_t k = 0; k < byzantine.size(); ++k) {
+    host.host(static_cast<net::NodeId>(n - f + k), std::move(byzantine[k]));
+  }
+  eventually(20.0, [&] {
+    bool all = true;
+    for (net::NodeId id = 0; id < correct.size(); ++id) {
+      host.net(id).call([&] { all = all && correct[id]->has_decided(); });
+    }
+    return all;
+  });
+  host.kill();
+
+  std::vector<core::ValueSet> decisions;
+  for (const core::WtsProcess* p : correct) {
+    if (p->has_decided()) decisions.push_back(p->decision());
+  }
+  return decisions;
+}
+
+TEST(SocketNetwork, WtsDecidesUnderRealConcurrency) {
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    std::vector<std::unique_ptr<net::IProcess>> byzantine;
+    byzantine.push_back(std::make_unique<core::SilentProcess>());
+    const auto decisions = run_wts(4, 1, std::move(byzantine));
+    ASSERT_EQ(decisions.size(), 3u) << "attempt " << attempt;
+    EXPECT_EQ(testutil::check_comparability(decisions), "")
+        << "attempt " << attempt;
+  }
+}
+
+TEST(SocketNetwork, WtsWithByzantineUnderRealConcurrency) {
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    std::vector<std::unique_ptr<net::IProcess>> byzantine;
+    byzantine.push_back(std::make_unique<core::EquivocatingDiscloser>(
+        7, lattice::value_from("evA"), lattice::value_from("evB")));
+    byzantine.push_back(std::make_unique<core::PromiscuousAcker>());
+    const auto decisions = run_wts(7, 2, std::move(byzantine));
+    ASSERT_EQ(decisions.size(), 5u) << "attempt " << attempt;
+    EXPECT_EQ(testutil::check_comparability(decisions), "")
+        << "attempt " << attempt;
+  }
 }
 
 // ---------------------------------------------------------------------------
