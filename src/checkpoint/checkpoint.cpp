@@ -29,6 +29,23 @@ std::vector<Hash> element_digests(const std::vector<Value>& elems) {
   for (const Value& v : elems) out.push_back(store::body_digest(v));
   return out;
 }
+
+/// Leaf digest of `body` when `s` holds it: a binary search over the
+/// sorted elements, comparing spans (no Value copy).
+std::optional<Digest> snapshot_leaf(const Snapshot& s, wire::BytesView body) {
+  if (!s.elements) return std::nullopt;
+  const std::vector<Value>& elems = *s.elements;
+  const auto it = std::lower_bound(
+      elems.begin(), elems.end(), body, [](const Value& v, wire::BytesView b) {
+        return std::lexicographical_compare(v.begin(), v.end(), b.begin(),
+                                            b.end());
+      });
+  if (it == elems.end() || !std::equal(it->begin(), it->end(), body.begin(),
+                                       body.end())) {
+    return std::nullopt;
+  }
+  return (*s.leaves)[static_cast<std::size_t>(it - elems.begin())];
+}
 }  // namespace
 
 CheckpointManager::CheckpointManager(Config config, SendFn send,
@@ -55,10 +72,7 @@ CheckpointManager::CheckpointManager(Config config, SendFn send,
   rearms_ = reg.counter(p + "rearms");
   elements_gauge_ = reg.gauge(p + "elements");
   store_bodies_gauge_ = reg.gauge(p + "store_bodies");
-  if (enabled() && config_.store) {
-    config_.store->set_fallback(
-        [this](const Digest& d) { return fallback_lookup(d); });
-  }
+  if (enabled() && config_.store) config_.store->set_fallback(this);
 }
 
 CheckpointManager::~CheckpointManager() {
@@ -82,14 +96,19 @@ bool CheckpointManager::force_checkpoint(const ValueSet& decided) {
 bool CheckpointManager::take(const ValueSet& decided, bool forced) {
   // Leaf order = canonical (sorted) element order, so any two replicas
   // checkpointing the same decided set derive the same root, no matter
-  // which intermediate decisions each observed.
+  // which intermediate decisions each observed. Leaves come through the
+  // store: each element was hashed when it was first stored (or is
+  // served from an earlier snapshot's leaves).
   auto elements =
       std::make_shared<const std::vector<Value>>(decided.elements());
-  const std::vector<Hash> leaves = element_digests(*elements);
+  std::vector<Hash> leaves;
+  leaves.reserve(elements->size());
+  for (const Value& v : *elements) leaves.push_back(leaf_digest(v));
   Snapshot snap;
   snap.seq = own_.seq + 1;
   snap.root = MerkleForest::commitment_of(leaves);
   snap.elements = std::move(elements);
+  snap.leaves = std::make_shared<const std::vector<Hash>>(std::move(leaves));
   previous_ = std::move(own_);
   own_ = std::move(snap);
   taken_.inc();
@@ -98,7 +117,7 @@ bool CheckpointManager::take(const ValueSet& decided, bool forced) {
   // Collapse the store: checkpointed bodies are re-served from the
   // snapshot through the fallback hook, so the live map can shed them.
   if (config_.store) {
-    for (const Hash& d : leaves) {
+    for (const Hash& d : *own_.leaves) {
       if (config_.store->erase(d)) evicted_.inc();
     }
     store_bodies_gauge_.set(
@@ -124,8 +143,7 @@ void CheckpointManager::reindex() {
   const auto index_snapshot = [this](const Snapshot& s) {
     if (!s.elements) return;
     for (std::size_t i = 0; i < s.elements->size(); ++i) {
-      body_index_.try_emplace(store::body_digest((*s.elements)[i]),
-                              s.elements, i);
+      body_index_.try_emplace((*s.leaves)[i], s.elements, i);
     }
   };
   index_snapshot(own_);
@@ -133,13 +151,28 @@ void CheckpointManager::reindex() {
   for (const auto& [root, snap] : adopted_) index_snapshot(snap);
 }
 
-std::shared_ptr<const wire::Bytes> CheckpointManager::fallback_lookup(
+Digest CheckpointManager::leaf_digest(const Value& v) const {
+  return config_.store ? config_.store->digest(v) : store::body_digest(v);
+}
+
+std::shared_ptr<const wire::Bytes> CheckpointManager::body(
     const Digest& d) const {
   const auto it = body_index_.find(d);
   if (it == body_index_.end()) return nullptr;
   reserved_.inc();
-  const Value& v = (*it->second.first)[it->second.second];
-  return std::make_shared<const wire::Bytes>(v);
+  // Aliasing handle into the snapshot's element vector: no copy, and the
+  // vector stays alive as long as any caller holds the body.
+  const auto& [elements, i] = it->second;
+  return {elements, &(*elements)[i]};
+}
+
+std::optional<Digest> CheckpointManager::digest(wire::BytesView body) const {
+  if (auto d = snapshot_leaf(own_, body)) return d;
+  if (auto d = snapshot_leaf(previous_, body)) return d;
+  for (const auto& [root, snap] : adopted_) {
+    if (auto d = snapshot_leaf(snap, body)) return d;
+  }
+  return std::nullopt;
 }
 
 // -- coverage queries -------------------------------------------------------
@@ -364,7 +397,8 @@ void CheckpointManager::on_snapshot(NodeId /*from*/, wire::Decoder& dec) {
   BatchProof proof;
   proof.targets.resize(elems.size());
   for (std::uint64_t i = 0; i < elems.size(); ++i) proof.targets[i] = i;
-  const std::vector<Hash> leaves = element_digests(elems);
+  // Untrusted bytes: every leaf is hashed here, never looked up.
+  std::vector<Hash> leaves = element_digests(elems);
   if (!MerkleForest::verify(root, elems.size(), proof, leaves)) {
     snapshot_rejects_.inc();
     send_pull(root, st);  // garbage: rotate to the next provider
@@ -374,6 +408,7 @@ void CheckpointManager::on_snapshot(NodeId /*from*/, wire::Decoder& dec) {
   snap.seq = 0;  // foreign snapshots carry no own-sequence meaning
   snap.root = root;
   snap.elements = std::make_shared<const std::vector<Value>>(std::move(elems));
+  snap.leaves = std::make_shared<const std::vector<Hash>>(std::move(leaves));
   st.verified = std::move(snap);
   st.known_safe =
       config_.element_known &&

@@ -12,9 +12,10 @@
 //
 // Once a checkpoint is taken, downstream state collapses:
 //  * checkpointed value bodies are EVICTED from the BodyStore; the
-//    snapshot re-serves them through the store's fallback hook, so
-//    later references (local decodes, peer pulls) still resolve while
-//    the store's live map stays bounded;
+//    snapshot re-serves them (and their digests, from the leaves the
+//    commitment was built over) through the store's fallback hook, so
+//    later references (local decodes, peer pulls, digest lookups) still
+//    resolve without rehashing while the store's live map stays bounded;
 //  * the engines compact their cumulative sets to [root] + delta
 //    (encode_compact_set / decode_compact_set), so ack and safe-ack
 //    frames stop growing with history;
@@ -74,6 +75,8 @@ struct Snapshot {
   std::uint64_t seq = 0;
   Digest root{};
   std::shared_ptr<const std::vector<Value>> elements;  // sorted, unique
+  /// The accumulator leaves: leaves[i] = SHA-256 of elements[i].
+  std::shared_ptr<const std::vector<Digest>> leaves;
 
   [[nodiscard]] std::size_t size() const {
     return elements ? elements->size() : 0;
@@ -100,7 +103,7 @@ struct Config {
   std::function<bool(const Value&)> element_known;
 };
 
-class CheckpointManager {
+class CheckpointManager : private store::BodyStore::Fallback {
  public:
   using SendFn = std::function<void(NodeId, wire::Bytes)>;
   /// Adoption upcall. `quorum_vouched` distinguishes the laggard path
@@ -206,8 +209,15 @@ class CheckpointManager {
   void try_adopt(const Digest& root);
   void adopt(const Digest& root, Snapshot snap, bool quorum);
   [[nodiscard]] const Snapshot* find_root(const Digest& root) const;
-  [[nodiscard]] std::shared_ptr<const wire::Bytes> fallback_lookup(
-      const Digest& d) const;
+  /// SHA-256 of a value about to become a leaf, through the store's
+  /// content index and our own snapshots.
+  [[nodiscard]] Digest leaf_digest(const Value& v) const;
+
+  // -- store fallback: evicted bodies and their digests ---------------------
+  [[nodiscard]] std::shared_ptr<const wire::Bytes> body(
+      const Digest& d) const override;
+  [[nodiscard]] std::optional<Digest> digest(
+      wire::BytesView body) const override;
 
   Config config_;
   SendFn send_;

@@ -134,6 +134,16 @@ bool EngineBase::record_decision(const ValueSet& set, std::uint64_t round) {
   return true;
 }
 
+crypto::Sha256::Digest EngineBase::commit_digest(
+    const std::vector<Value>& sorted_elems) const {
+  wire::Encoder count;
+  count.uvarint(sorted_elems.size());
+  crypto::Sha256 h;
+  h.update(count.view());
+  for (const Value& v : sorted_elems) h.update(store_->digest(v));
+  return h.finish();
+}
+
 std::unique_ptr<IAgreementEngine> make_engine(
     EngineKind kind, const EngineConfig& config,
     std::shared_ptr<const crypto::ISigner> signer,

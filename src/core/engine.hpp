@@ -53,6 +53,9 @@ public:
   /// a client's read. GWTS answers from its reliably broadcast ack
   /// history; GSbS from the `decided` certificates it has seen.
   [[nodiscard]] virtual bool is_committed(const ValueSet& set) const = 0;
+  /// How many distinct sets the engine holds commit evidence for. It only
+  /// grows, so a caller re-tests is_committed only after it changed.
+  [[nodiscard]] virtual std::size_t committed_count() const = 0;
 
   /// The engine's checkpoint manager, when checkpointing is enabled
   /// (EngineConfig::checkpoint_interval > 0); null otherwise. Exposed so
@@ -63,20 +66,6 @@ public:
     return nullptr;
   }
 };
-
-/// Digest of a set's canonical encoding (cardinality + sorted elements,
-/// the encode_value_set format). Engines key their commit evidence on
-/// this instead of deep element copies: decisions are *cumulative*, so
-/// storing every committed set's full element vector would cost
-/// O(rounds × total-state-bytes) per replica — quadratic once elements
-/// are multi-KB command batches — while 32 bytes per entry answers the
-/// exact-equality is_committed() query identically.
-[[nodiscard]] inline crypto::Sha256::Digest committed_set_digest(
-    const std::vector<Value>& sorted_elems) {
-  wire::Encoder enc;
-  lattice::encode_sorted_values(enc, sorted_elems);
-  return crypto::Sha256::hash(std::span(enc.view()));
-}
 
 enum class EngineKind : std::uint8_t { kGwts, kGsbs };
 
@@ -145,10 +134,13 @@ public:
   [[nodiscard]] const ValueSet& decided_set() const final {
     return decided_set_;
   }
-  /// Canonical-digest lookup over every set this engine has seen proven
+  /// Commit-digest lookup over every set this engine has seen proven
   /// quorum-committed (the Alg. 7 confirmation predicate).
   [[nodiscard]] bool is_committed(const ValueSet& set) const final {
-    return committed_sets_.contains(committed_set_digest(set.elements()));
+    return committed_sets_.contains(commit_digest(set.elements()));
+  }
+  [[nodiscard]] std::size_t committed_count() const final {
+    return committed_sets_.size();
   }
   [[nodiscard]] const checkpoint::CheckpointManager* checkpoints()
       const final {
@@ -200,7 +192,7 @@ protected:
   /// Records a quorum-committed set (canonical sorted elements) for
   /// is_committed.
   void record_committed(const std::vector<Value>& sorted_elems) {
-    committed_sets_.insert(committed_set_digest(sorted_elems));
+    committed_sets_.insert(commit_digest(sorted_elems));
   }
   void count_refinement() {
     refinements_ += 1;
@@ -240,8 +232,20 @@ private:
     return config_.max_rounds != 0 && round_ >= config_.max_rounds;
   }
 
+  /// Commit evidence key of a set: a hash of hashes,
+  /// SHA-256(uvarint(k) ‖ digest(e_1) ‖ … ‖ digest(e_k)) over the sorted
+  /// elements, each element digest from the store (hashed once per
+  /// replica). Decisions are *cumulative*, so keying on full element
+  /// copies or on a hash of the full encoding costs O(total-state-bytes)
+  /// per committed set; this costs O(k) lookups and 32·k hashed bytes
+  /// and answers the exact-equality is_committed() query identically: a
+  /// collision here implies a SHA-256 collision. The digest stays in the
+  /// process — it is never sent or signed.
+  [[nodiscard]] crypto::Sha256::Digest commit_digest(
+      const std::vector<Value>& sorted_elems) const;
+
   std::size_t refinements_ = 0;
-  // Canonical-encoding digests of quorum-committed sets (is_committed).
+  // Commit digests of quorum-committed sets (is_committed).
   std::set<crypto::Sha256::Digest> committed_sets_;
   obs::Counter obs_rounds_;
   obs::Counter obs_decisions_;

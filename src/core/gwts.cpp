@@ -295,7 +295,7 @@ void GwtsProcess::on_disclosure(NodeId origin, std::uint64_t round,
     // stage of its lifecycle. Monotone marking in the Lifecycle makes
     // repeats (n replicas see each disclosure) free after the first.
     for (const Value& v : batch) {
-      registry_->lifecycle().mark(store::body_digest(v),
+      registry_->lifecycle().mark(store_->digest(v),
                                   obs::Stage::kRbcDeliver, config_.self);
     }
   }

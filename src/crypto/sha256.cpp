@@ -103,16 +103,20 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Padding: 0x80, zeros up to 56 mod 64 (spilling into one extra block
+  // when fewer than 9 bytes are left), then the big-endian bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(std::span(len_bytes, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -69,10 +69,9 @@ void RsmReplica::on_message(net::IContext& ctx, NodeId from,
       dec.u8();
       ValueSet set = lattice::decode_value_set(dec);
       dec.expect_done();
-      if (pending_confs_.size() < kMaxPendingConfs) {
-        pending_confs_.push_back({from, set.elements()});
+      if (!confirm(from, set) && pending_confs_.size() < kMaxPendingConfs) {
+        pending_confs_.push_back({from, std::move(set)});
       }
-      drain_pending_confirmations();
     } else {
       // Engine traffic (GWTS/RBC or GSbS frames) — replicas only. Ids
       // ≥ n are clients; letting them through would count Byzantine
@@ -134,12 +133,11 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
   // values from a single signature. Canonicalizing collapses every
   // spelling to one value (and one verify-once memo entry).
   Value value = batch::batch_value(b);
-  config_.registry->trace_event(config_.self, obs::EventKind::kPropose,
-                                obs::id64(store::body_digest(value)),
-                                b.commands.size());
   // Register the body immediately: peers may pull it by reference the
   // moment our disclosure/init mentions it.
-  store_->put(value);
+  const store::Digest digest = store_->put(value);
+  config_.registry->trace_event(config_.self, obs::EventKind::kPropose,
+                                obs::id64(digest), b.commands.size());
   if (engine_->decided_set().contains(value)) {
     // A retransmitted batch whose value is already decided: the original
     // decide notification must have been lost (engines notify only
@@ -162,7 +160,7 @@ void RsmReplica::on_decide(const core::Decision& decision) {
     // share a timestamp; the decide_to_execute histogram records the
     // (simulated) gap, which is 0 in this runtime by construction.
     for (const Value& v : decision.set) {
-      const auto d = store::body_digest(v);
+      const auto d = store_->digest(v);
       registry.lifecycle().mark(d, obs::Stage::kDecide, config_.self);
       registry.lifecycle().mark(d, obs::Stage::kExecute, config_.self);
     }
@@ -187,7 +185,7 @@ wire::Bytes RsmReplica::encode_decide_frame(const ValueSet& set) const {
     enc.u8(static_cast<std::uint8_t>(core::MsgType::kRsmDecideDigest));
     enc.uvarint(set.size());
     for (const Value& v : set) {
-      const auto d = crypto::Sha256::hash(std::span(v.data(), v.size()));
+      const auto d = store_->digest(v);
       enc.raw(std::span(d.data(), d.size()));
     }
   } else {
@@ -197,22 +195,27 @@ wire::Bytes RsmReplica::encode_decide_frame(const ValueSet& set) const {
   return enc.take();
 }
 
-void RsmReplica::drain_pending_confirmations() {
+bool RsmReplica::confirm(NodeId client, const ValueSet& set) {
   // Alg. 7 lines 4-6: confirm once the set shows a quorum in the engine's
   // commit evidence (GWTS ack history / GSbS certificates).
-  for (auto it = pending_confs_.begin(); it != pending_confs_.end();) {
-    ValueSet set;
-    for (const Value& v : it->set_elems) set.insert(v);
-    if (engine_->is_committed(set)) {
-      wire::Encoder enc;
-      enc.u8(static_cast<std::uint8_t>(core::MsgType::kRsmConfRep));
-      lattice::encode_value_set(enc, set);
-      ctx_->send(it->client, enc.take());
-      it = pending_confs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  if (!engine_->is_committed(set)) return false;
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(core::MsgType::kRsmConfRep));
+  lattice::encode_value_set(enc, set);
+  ctx_->send(client, enc.take());
+  return true;
+}
+
+void RsmReplica::drain_pending_confirmations() {
+  // Commit evidence only grows, and a parked conf was tested when it
+  // arrived, so it can turn answerable only after the evidence grew:
+  // re-test then, not on every frame.
+  const std::size_t committed = engine_->committed_count();
+  if (committed == committed_seen_) return;
+  committed_seen_ = committed;
+  std::erase_if(pending_confs_, [this](const PendingConf& conf) {
+    return confirm(conf.client, conf.set);
+  });
 }
 
 }  // namespace bla::rsm

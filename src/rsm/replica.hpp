@@ -85,7 +85,7 @@ public:
 private:
   struct PendingConf {
     NodeId client;
-    std::vector<Value> set_elems;
+    ValueSet set;
   };
 
   void on_new_batch(NodeId from, wire::Decoder& dec,
@@ -94,6 +94,10 @@ private:
   /// Encodes one decide notification (Alg. 5 line 5) for `set`, in the
   /// configured full-value or digest form.
   [[nodiscard]] wire::Bytes encode_decide_frame(const ValueSet& set) const;
+  /// Answers `client`'s confirmation request (Alg. 7) when `set` is
+  /// committed; false leaves it for the caller to park.
+  bool confirm(NodeId client, const ValueSet& set);
+  /// Re-tests parked confirmation requests when commit evidence grew.
   void drain_pending_confirmations();
 
   ReplicaConfig config_;  // registry always set: shared down to the engine
@@ -102,6 +106,7 @@ private:
   std::optional<batch::BatchVerifier> verifier_;  // engaged iff signer set
   net::IContext* ctx_ = nullptr;
   std::vector<PendingConf> pending_confs_;
+  std::size_t committed_seen_ = 0;  // committed_count() at the last drain
   obs::Counter batches_admitted_;
   obs::Counter batches_rejected_;
 };

@@ -14,6 +14,7 @@
 #include "net/delay_model.hpp"
 #include "net/sim_network.hpp"
 #include "rbc/bracha.hpp"
+#include "testutil/batch_scenario.hpp"
 #include "testutil/properties.hpp"
 #include "testutil/scenario.hpp"
 
@@ -131,6 +132,30 @@ TEST(Refinement, SbsStaggeredSchedulesStayWithinTwoF) {
 // GWTS commitment exposure (the hook the RSM confirmation uses).
 // ---------------------------------------------------------------------------
 
+/// A batched RSM run that checkpoints every 4 decided batches, so the
+/// bodies of early committed sets are evicted from every replica's
+/// store and their digests come from checkpoint snapshots.
+std::unique_ptr<testutil::BatchRsmScenario> run_checkpointed(
+    core::EngineKind engine) {
+  testutil::BatchRsmScenarioOptions options;
+  options.n = 4;
+  options.f = 1;
+  options.seed = 5;
+  options.engine = engine;
+  options.commands_per_client = 64;
+  options.batch_size = 4;
+  options.max_rounds = 30;
+  options.checkpoint_interval = 4;
+  auto scenario =
+      std::make_unique<testutil::BatchRsmScenario>(std::move(options));
+  scenario->run_until_done();
+  scenario->run();
+  return scenario;
+}
+
+constexpr core::EngineKind kEngines[] = {core::EngineKind::kGwts,
+                                         core::EngineKind::kGsbs};
+
 TEST(Commitment, DecidedSetsAreCommittedEverywhere) {
   testutil::GwtsScenarioOptions options;
   options.n = 4;
@@ -149,6 +174,25 @@ TEST(Commitment, DecidedSetsAreCommittedEverywhere) {
       }
     }
   }
+  // The same holds once checkpoints have evicted the bodies of the sets
+  // committed first.
+  for (const core::EngineKind engine : kEngines) {
+    const auto checkpointed = run_checkpointed(engine);
+    ASSERT_TRUE(checkpointed->all_clients_done());
+    const auto& replicas = checkpointed->correct_replicas();
+    for (const rsm::RsmReplica* r : replicas) {
+      ASSERT_NE(r->engine().checkpoints(), nullptr);
+      EXPECT_GT(r->engine().checkpoints()->bodies_evicted(), 0u);
+    }
+    for (const rsm::RsmReplica* decider : replicas) {
+      for (const auto& decision : decider->engine().decisions()) {
+        for (const rsm::RsmReplica* observer : replicas) {
+          EXPECT_TRUE(observer->engine().is_committed(decision.set))
+              << "round " << decision.round;
+        }
+      }
+    }
+  }
 }
 
 TEST(Commitment, FabricatedSetsAreNotCommitted) {
@@ -162,6 +206,25 @@ TEST(Commitment, FabricatedSetsAreNotCommitted) {
   fabricated.insert(lattice::value_from("nobody-proposed-this"));
   for (const auto* proc : scenario.correct()) {
     EXPECT_FALSE(proc->is_committed(fabricated));
+  }
+  // After eviction: a committed set with one element swapped for a
+  // same-sized forgery is not committed, nor is the forgery alone.
+  for (const core::EngineKind engine : kEngines) {
+    const auto checkpointed = run_checkpointed(engine);
+    const auto& replicas = checkpointed->correct_replicas();
+    const auto& decisions = replicas.front()->engine().decisions();
+    ASSERT_FALSE(decisions.empty());
+    const core::ValueSet& genuine = decisions.front().set;
+    std::vector<core::Value> elems = genuine.elements();
+    elems.back().back() ^= 0x01;
+    core::ValueSet forged;
+    for (const core::Value& v : elems) forged.insert(v);
+    ASSERT_EQ(forged.size(), genuine.size());
+    for (const rsm::RsmReplica* r : replicas) {
+      EXPECT_TRUE(r->engine().is_committed(genuine));
+      EXPECT_FALSE(r->engine().is_committed(forged));
+      EXPECT_FALSE(r->engine().is_committed(fabricated));
+    }
   }
 }
 

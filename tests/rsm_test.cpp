@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/adversary.hpp"
 #include "net/delay_model.hpp"
 #include "rsm/command.hpp"
@@ -192,6 +194,63 @@ TEST(Rsm, ByzantineClientCannotCorruptState) {
   const auto& read = good->completed()[1];
   EXPECT_EQ(read.read_value.size(), 1u);
   EXPECT_TRUE(read.read_value.contains(good->completed()[0].command));
+}
+
+TEST(Rsm, EarlyConfirmationIsAnsweredOnceCommitted) {
+  // A client asks to confirm a set before any round could have committed
+  // it (its command and the request leave together). Each replica parks
+  // the request and answers exactly once, when its commit evidence grows
+  // to include the set.
+  class EarlyAsker final : public net::IProcess {
+  public:
+    explicit EarlyAsker(ValueSet set) : set_(std::move(set)) {}
+    void on_start(net::IContext& ctx) override {
+      wire::Encoder value;
+      value.u8(static_cast<std::uint8_t>(core::MsgType::kRsmNewValue));
+      lattice::encode_value(value, *set_.begin());
+      wire::Encoder conf;
+      conf.u8(static_cast<std::uint8_t>(core::MsgType::kRsmConfReq));
+      lattice::encode_value_set(conf, set_);
+      for (NodeId r = 0; r < 4; ++r) {
+        ctx.send(r, value.view());
+        ctx.send(r, conf.view());
+      }
+    }
+    void on_message(net::IContext&, NodeId from,
+                    wire::BytesView payload) override {
+      wire::Decoder dec(payload);
+      if (static_cast<core::MsgType>(dec.u8()) != core::MsgType::kRsmConfRep) {
+        return;
+      }
+      if (lattice::decode_value_set(dec) == set_) ++replies[from];
+    }
+    std::map<NodeId, int> replies;
+
+  private:
+    ValueSet set_;
+  };
+
+  Command cmd;
+  cmd.client = 4;
+  cmd.payload = lattice::value_from("early");
+  ValueSet set;
+  set.insert(encode_command(cmd));
+
+  net::SimNetwork net({.seed = 5, .delay = nullptr});
+  std::vector<RsmReplica*> replicas;
+  for (net::NodeId id = 0; id < 4; ++id) {
+    auto r = std::make_unique<RsmReplica>(ReplicaConfig{id, 4, 1, 20});
+    replicas.push_back(r.get());
+    net.add_process(std::move(r));
+  }
+  auto* asker = new EarlyAsker(set);
+  net.add_process(std::unique_ptr<net::IProcess>(asker));
+  net.run();
+
+  for (NodeId r = 0; r < 4; ++r) {
+    EXPECT_TRUE(replicas[r]->engine().is_committed(set)) << "replica " << r;
+    EXPECT_EQ(asker->replies[r], 1) << "replica " << r;
+  }
 }
 
 TEST(Rsm, AsynchronousDelays) {

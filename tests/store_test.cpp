@@ -1,15 +1,18 @@
 // Body store + pull protocol (src/store/): ref codec round-trips,
 // fetch-on-miss under reordered delivery (ECHO before SEND), rotation
-// past garbage providers, single-flight dedupe, and the shared
-// verify-once memo.
+// past garbage providers, single-flight dedupe, the content index behind
+// digest(), and the shared verify-once memo.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
+#include <thread>
 
 #include "batch/batch.hpp"
 #include "batch/verifier.hpp"
+#include "checkpoint/checkpoint.hpp"
 #include "crypto/signer.hpp"
 #include "net/delay_model.hpp"
 #include "net/sim_network.hpp"
@@ -486,6 +489,109 @@ TEST(BrachaStats, CountsOversizedMalformedAndBadOrigin) {
       EXPECT_TRUE(node.handle(2, type, dec));
     }
     EXPECT_EQ(node.stats().duplicate_vote, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Content index: each held body is hashed once, digest() answers after.
+// ---------------------------------------------------------------------------
+
+TEST(BodyStoreDigest, MatchesBodyDigestHeldEvictedAndUnknown) {
+  auto store = std::make_shared<BodyStore>();
+  checkpoint::CheckpointManager ckpt(
+      {.self = 0, .n = 4, .f = 1, .interval = 2, .store = store},
+      [](NodeId, wire::Bytes) {});
+  const lattice::Value held = big_value(0x01);
+  const lattice::Value evicted = big_value(0x02);
+  const lattice::Value evicted_too = big_value(0x03, 100);
+  const lattice::Value unknown = big_value(0x04);
+  for (const auto* v : {&held, &evicted, &evicted_too}) {
+    EXPECT_EQ(store->put(*v), body_digest(*v));
+  }
+  EXPECT_EQ(store->digest(held), body_digest(held));
+
+  // A checkpoint over two of them evicts their bodies; digest() then
+  // answers from the snapshot's leaves and get() re-serves the bytes.
+  lattice::ValueSet decided;
+  decided.insert(evicted);
+  decided.insert(evicted_too);
+  ASSERT_TRUE(ckpt.maybe_checkpoint(decided));
+  EXPECT_EQ(ckpt.bodies_evicted(), 2u);
+  EXPECT_EQ(store->body_count(), 1u);
+  for (const auto* v : {&evicted, &evicted_too}) {
+    EXPECT_EQ(store->digest(*v), body_digest(*v));
+    const auto body = store->get(body_digest(*v));
+    ASSERT_NE(body, nullptr);
+    EXPECT_EQ(*body, *v);
+  }
+  EXPECT_EQ(store->digest(held), body_digest(held));
+
+  // Unknown bytes are hashed, and not taken in.
+  EXPECT_EQ(store->digest(unknown), body_digest(unknown));
+  EXPECT_FALSE(store->contains(body_digest(unknown)));
+  EXPECT_EQ(store->body_count(), 1u);
+}
+
+TEST(BodyStoreDigest, PutEraseCyclesKeepIndexConsistent) {
+  BodyStore store;
+  std::vector<lattice::Value> values;
+  for (std::uint8_t i = 0; i < 8; ++i) values.push_back(big_value(i, 64 + i));
+  values.push_back({});  // the empty body is a body too
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(store.put(values[i]), body_digest(values[i]));
+      } else {
+        store.put_trusted(body_digest(values[i]), values[i]);
+      }
+    }
+    EXPECT_EQ(store.body_count(), values.size());
+    // Re-putting a held body is a lookup; the count does not move.
+    EXPECT_EQ(store.put(values[1]), body_digest(values[1]));
+    EXPECT_EQ(store.body_count(), values.size());
+    for (std::size_t i = cycle % 2; i < values.size(); i += 2) {
+      EXPECT_TRUE(store.erase(body_digest(values[i])));
+      EXPECT_FALSE(store.erase(body_digest(values[i])));
+    }
+    for (const lattice::Value& v : values) {
+      EXPECT_EQ(store.digest(v), body_digest(v));
+      const auto body = store.get(body_digest(v));
+      if (body != nullptr) {
+        EXPECT_EQ(*body, v);
+      }
+    }
+    for (const lattice::Value& v : values) store.erase(body_digest(v));
+    EXPECT_EQ(store.body_count(), 0u);
+    EXPECT_EQ(store.total_bytes(), 0u);
+  }
+}
+
+TEST(BodyStoreDigest, ConcurrentPutDigestGetErase) {
+  auto store = std::make_shared<BodyStore>();
+  std::vector<lattice::Value> values;
+  std::vector<Digest> digests;
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    values.push_back(big_value(i, 256));
+    digests.push_back(body_digest(values.back()));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 500; ++round) {
+        const std::size_t i = (round * 5 + t * 3) % values.size();
+        if (store->put(values[i]) != digests[i]) ++mismatches;
+        if (store->digest(values[i]) != digests[i]) ++mismatches;
+        const auto body = store->get(digests[i]);
+        if (body != nullptr && *body != values[i]) ++mismatches;
+        if ((round + t) % 3 == 0) store->erase(digests[i]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(store->digest(values[i]), digests[i]);
   }
 }
 
