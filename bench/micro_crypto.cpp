@@ -42,24 +42,33 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 
+void BM_Ed25519Keygen(benchmark::State& state) {
+  std::uint64_t label = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ed25519::keypair_from_label(++label));
+  }
+}
+BENCHMARK(BM_Ed25519Keygen);
+
+// Message sizes: 256 bytes, and 1 400 bytes — a GSbS batch on the wire.
 void BM_Ed25519Sign(benchmark::State& state) {
   const auto kp = crypto::ed25519::keypair_from_label(1);
-  const wire::Bytes msg(256, 0x42);
+  const wire::Bytes msg(static_cast<std::size_t>(state.range(0)), 0x42);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ed25519::sign(kp, msg));
   }
 }
-BENCHMARK(BM_Ed25519Sign);
+BENCHMARK(BM_Ed25519Sign)->Arg(256)->Arg(1400);
 
 void BM_Ed25519Verify(benchmark::State& state) {
   const auto kp = crypto::ed25519::keypair_from_label(1);
-  const wire::Bytes msg(256, 0x42);
+  const wire::Bytes msg(static_cast<std::size_t>(state.range(0)), 0x42);
   const auto sig = crypto::ed25519::sign(kp, msg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ed25519::verify(kp.public_key, msg, sig));
   }
 }
-BENCHMARK(BM_Ed25519Verify);
+BENCHMARK(BM_Ed25519Verify)->Arg(256)->Arg(1400);
 
 void BM_SignerSign(benchmark::State& state) {
   auto set = state.range(0) == 0 ? crypto::make_hmac_signer_set(4)

@@ -6,11 +6,14 @@
 # (node<id>/checkpoint/snapshots_adopted > 0). Finally SIGTERM everyone
 # and require clean exits (status 0) — the graceful drain path.
 #
-# Usage: scripts/cluster_smoke.sh [build-dir]   (default: build)
+# Usage: scripts/cluster_smoke.sh [build-dir] [engine] [key-scheme]
+#        (defaults: build gwts hmac; e.g. `build gsbs ed25519`)
 # Env:   PORT_BASE (default 9400) — first replica port.
 set -euo pipefail
 
 BUILD="${1:-build}"
+ENGINE="${2:-gwts}"
+KEY_SCHEME="${3:-hmac}"
 PORT_BASE="${PORT_BASE:-9400}"
 REPLICAD="$BUILD/bin/replicad"
 LOADGEN="$BUILD/bin/loadgen"
@@ -31,8 +34,8 @@ CONF="$WORK/cluster.conf"
 {
   echo "n 4"
   echo "f 1"
-  echo "engine gwts"
-  echo "key_scheme hmac"
+  echo "engine $ENGINE"
+  echo "key_scheme $KEY_SCHEME"
   echo "key_seed 42"
   echo "checkpoint_interval 8"
   for i in 0 1 2 3; do
@@ -47,7 +50,8 @@ start_replica() { # id
   PIDS[$id]=$!
 }
 
-echo "== starting 4 replicas (ports $PORT_BASE..$((PORT_BASE + 3)))"
+echo "== starting 4 replicas ($ENGINE, $KEY_SCHEME;" \
+  "ports $PORT_BASE..$((PORT_BASE + 3)))"
 for i in 0 1 2 3; do start_replica "$i"; done
 sleep 1
 

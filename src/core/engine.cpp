@@ -134,13 +134,13 @@ bool EngineBase::record_decision(const ValueSet& set, std::uint64_t round) {
   return true;
 }
 
-crypto::Sha256::Digest EngineBase::commit_digest(
-    const std::vector<Value>& sorted_elems) const {
+crypto::Sha256::Digest content_key(std::span<const Value> sorted_elems,
+                                   const store::BodyStore& store) {
   wire::Encoder count;
   count.uvarint(sorted_elems.size());
   crypto::Sha256 h;
   h.update(count.view());
-  for (const Value& v : sorted_elems) h.update(store_->digest(v));
+  for (const Value& v : sorted_elems) h.update(store.digest(v));
   return h.finish();
 }
 

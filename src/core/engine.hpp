@@ -69,6 +69,18 @@ public:
 
 enum class EngineKind : std::uint8_t { kGwts, kGsbs };
 
+/// Content key of a set of values: a hash of hashes,
+/// SHA-256(uvarint(k) ‖ digest(e_1) ‖ … ‖ digest(e_k)) over the sorted
+/// elements, each element digest from `store` (hashed once per replica).
+/// Sets here are *cumulative* or re-shown many times, so keying on full
+/// element copies or on a hash of the full encoding costs
+/// O(total-state-bytes) per use; this costs O(k) lookups and 32·k hashed
+/// bytes and binds the content as tightly: two sets with one key differ
+/// only through a SHA-256 collision. Commit evidence keys on it, and every
+/// GSbS signature covers batches through it.
+[[nodiscard]] crypto::Sha256::Digest content_key(
+    std::span<const Value> sorted_elems, const store::BodyStore& store);
+
 /// The one configuration of both generalized engines (and, through
 /// rsm::ReplicaConfig, of the replica hosting one).
 struct EngineConfig {
@@ -137,7 +149,7 @@ public:
   /// Commit-digest lookup over every set this engine has seen proven
   /// quorum-committed (the Alg. 7 confirmation predicate).
   [[nodiscard]] bool is_committed(const ValueSet& set) const final {
-    return committed_sets_.contains(commit_digest(set.elements()));
+    return committed_sets_.contains(content_key(set.elements(), *store_));
   }
   [[nodiscard]] std::size_t committed_count() const final {
     return committed_sets_.size();
@@ -192,7 +204,7 @@ protected:
   /// Records a quorum-committed set (canonical sorted elements) for
   /// is_committed.
   void record_committed(const std::vector<Value>& sorted_elems) {
-    committed_sets_.insert(commit_digest(sorted_elems));
+    committed_sets_.insert(content_key(sorted_elems, *store_));
   }
   void count_refinement() {
     refinements_ += 1;
@@ -232,20 +244,9 @@ private:
     return config_.max_rounds != 0 && round_ >= config_.max_rounds;
   }
 
-  /// Commit evidence key of a set: a hash of hashes,
-  /// SHA-256(uvarint(k) ‖ digest(e_1) ‖ … ‖ digest(e_k)) over the sorted
-  /// elements, each element digest from the store (hashed once per
-  /// replica). Decisions are *cumulative*, so keying on full element
-  /// copies or on a hash of the full encoding costs O(total-state-bytes)
-  /// per committed set; this costs O(k) lookups and 32·k hashed bytes
-  /// and answers the exact-equality is_committed() query identically: a
-  /// collision here implies a SHA-256 collision. The digest stays in the
-  /// process — it is never sent or signed.
-  [[nodiscard]] crypto::Sha256::Digest commit_digest(
-      const std::vector<Value>& sorted_elems) const;
-
   std::size_t refinements_ = 0;
-  // Commit digests of quorum-committed sets (is_committed).
+  // Content keys of quorum-committed sets (is_committed); they stay in
+  // the process, never sent.
   std::set<crypto::Sha256::Digest> committed_sets_;
   obs::Counter obs_rounds_;
   obs::Counter obs_decisions_;

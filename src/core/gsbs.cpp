@@ -16,25 +16,41 @@ constexpr std::size_t kMaxConflicts = 1 << 10;
 // Transport only: batch value sets are ref-encoded (store/ref.hpp) so
 // safe-acks, proposals-with-proofs, and certificates — which echo the
 // same signed batches over and over — ship 32-byte references instead of
-// bodies. Signing bytes and the proposal digest stay on the canonical
-// inline encoding (lattice::encode_value_set), so references carry no
-// trust: a frame only acts once every reference resolved to bytes that
-// hash to its digest, and signatures are verified over resolved content.
+// bodies. Signing bytes and digests never see a transport spelling: they
+// cover each batch's content key (core::content_key over the resolved
+// values), so references carry no trust — a frame only acts once every
+// reference resolved to bytes that hash to its digest.
 // ---------------------------------------------------------------------------
+
+/// A batch as every GSbS signature and digest sees it: signer, round and
+/// the batch's content key — never the encoding of its values.
+void encode_batch_key(wire::Encoder& enc, const SignedBatch& sb,
+                      const crypto::Sha256::Digest& key) {
+  enc.u32(sb.signer);
+  enc.u64(sb.round);
+  enc.raw(std::span(key.data(), key.size()));
+}
 
 /// Transport-encode context: where referenced bodies are registered and
 /// whether references are emitted at all (false = inline full bodies —
-/// first-contact INIT frames, canonical re-encodings, bench baseline).
+/// first-contact INIT frames, the local replay loop, bench baseline).
 struct Codec {
   store::BodyStore* store = nullptr;
   bool refs = false;
+  /// When set, batches as encode_batch_key, no bodies: the canonical
+  /// spelling the certificate replay guard hashes. Never sent.
+  BatchKeys* keys = nullptr;
 };
 
 void encode_signed_batch(wire::Encoder& enc, const SignedBatch& sb,
                          const Codec& codec) {
-  enc.u32(sb.signer);
-  enc.u64(sb.round);
-  store::encode_value_set_ref(enc, sb.batch, codec.store, codec.refs);
+  if (codec.keys != nullptr) {
+    encode_batch_key(enc, sb, (*codec.keys)(sb));
+  } else {
+    enc.u32(sb.signer);
+    enc.u64(sb.round);
+    store::encode_value_set_ref(enc, sb.batch, codec.store, codec.refs);
+  }
   enc.bytes(sb.signature);
 }
 
@@ -210,23 +226,33 @@ GsbsProcess::GsbsProcess(EngineConfig config,
                                      /*fanout=*/config_.f + 1,
                                      /*max_auto_rearms=*/4, registry_},
           store_,
-          [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); })) {
+          [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); })),
+      batch_keys_(*store_) {
   const std::string p = "node" + std::to_string(config_.self) + "/gsbs/";
   obs_sig_checks_ = registry_->counter(p + "sig_checks");
   obs_sig_cache_hits_ = registry_->counter(p + "sig_cache_hits");
+  obs_conflicts_listed_ = registry_->counter(p + "conflicts_listed");
 }
 
 // ---------------------------------------------------------------------------
 // Signing bytes / digests.
 // ---------------------------------------------------------------------------
 
-wire::Bytes GsbsProcess::batch_signing_bytes(const SignedBatch& sb) const {
+wire::Bytes batch_signing_bytes(const SignedBatch& sb,
+                                const crypto::Sha256::Digest& key) {
   wire::Encoder enc;
   enc.str("gsbs-batch");
-  enc.u32(sb.signer);
-  enc.u64(sb.round);
-  lattice::encode_value_set(enc, sb.batch);
+  encode_batch_key(enc, sb, key);
   return enc.take();
+}
+
+crypto::Sha256::Digest BatchKeys::operator()(const SignedBatch& sb) {
+  const auto it = keys_.find(sb);
+  if (it != keys_.end()) return it->second;
+  if (keys_.size() >= (std::size_t{1} << 12)) keys_.clear();
+  const crypto::Sha256::Digest key = content_key(sb.batch.elements(), store_);
+  keys_.emplace(sb, key);
+  return key;
 }
 
 wire::Bytes GsbsProcess::safe_ack_signing_bytes(
@@ -237,15 +263,12 @@ wire::Bytes GsbsProcess::safe_ack_signing_bytes(
   enc.u64(ack.round);
   enc.uvarint(ack.received.size());
   for (const SignedBatch& sb : ack.received) {
-    enc.u32(sb.signer);
-    enc.u64(sb.round);
-    lattice::encode_value_set(enc, sb.batch);
+    encode_batch_key(enc, sb, batch_keys_(sb));
   }
   enc.uvarint(ack.conflicts.size());
   for (const auto& [a, b] : ack.conflicts) {
-    enc.u32(a.signer);
-    lattice::encode_value_set(enc, a.batch);
-    lattice::encode_value_set(enc, b.batch);
+    encode_batch_key(enc, a, batch_keys_(a));
+    encode_batch_key(enc, b, batch_keys_(b));
   }
   return enc.take();
 }
@@ -267,9 +290,7 @@ crypto::Sha256::Digest GsbsProcess::proposal_digest(
   wire::Encoder enc;
   enc.uvarint(proposal.size());
   for (const auto& [sb, proof] : proposal) {
-    enc.u32(sb.signer);
-    enc.u64(sb.round);
-    lattice::encode_value_set(enc, sb.batch);
+    encode_batch_key(enc, sb, batch_keys_(sb));
   }
   return crypto::Sha256::hash(std::span(enc.view()));
 }
@@ -282,7 +303,9 @@ bool GsbsProcess::check_signature(NodeId signer, wire::BytesView message,
                                   wire::BytesView signature) const {
   // The cumulative proposal re-presents every batch and safe-ack proof on
   // each ack-req, nack and certificate; the replica's verify-once memo
-  // turns all but the first sighting into a hash and a lookup.
+  // turns all but the first sighting into a lookup. Signing bytes are
+  // built from content keys, so the memo key hashes ~100 bytes for a
+  // batch and a few hundred for a safe-ack, whatever the bodies weigh.
   using Verdict = store::BodyStore::Verdict;
   const Verdict verdict =
       store_->verify(*signer_, signer, message, signature);
@@ -296,7 +319,8 @@ bool GsbsProcess::check_signature(NodeId signer, wire::BytesView message,
 
 bool GsbsProcess::verify_signed_batch(const SignedBatch& sb) const {
   if (sb.signer >= config_.n) return false;
-  return check_signature(sb.signer, batch_signing_bytes(sb), sb.signature);
+  return check_signature(sb.signer, batch_signing_bytes(sb, batch_keys_(sb)),
+                         sb.signature);
 }
 
 bool GsbsProcess::verify_conflict_pair(
@@ -410,7 +434,7 @@ void GsbsProcess::broadcast_init() {
   sb.signer = config_.self;
   sb.round = round_;
   sb.batch = batches_[round_];
-  sb.signature = signer_->sign(batch_signing_bytes(sb));
+  sb.signature = signer_->sign(batch_signing_bytes(sb, batch_keys_(sb)));
   index_batch(init_seen_[round_], sb);
 
   // INIT inlines the batch bodies — first contact with the content; the
@@ -680,6 +704,7 @@ void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
   for (const auto& [signer, batches] : merged) {
     if (batches.size() >= 2) {
       ack.conflicts.emplace_back(batches[0], batches[1]);
+      obs_conflicts_listed_.inc();
     }
   }
   ack.signature = signer_->sign(safe_ack_signing_bytes(ack));
@@ -846,27 +871,27 @@ void GsbsProcess::on_decided(NodeId from, wire::Decoder& dec,
     park(from, resolver, frame);
     return;
   }
-  // Replay guard over the *canonical re-encoding*: a certificate already
-  // processed — accepted or rejected — is never re-verified, so a
-  // Byzantine peer resending it pays us only an encode+hash, not a
-  // quorum of signature checks. Hashing raw frame bytes would not work:
-  // the decoder tolerates non-minimal varints (and now reference vs
-  // inline spellings), so one certificate has unboundedly many
-  // byte-distinct frame spellings. The canonical form is the inline
-  // (ref-free) encoding.
+  // Replay guard: a certificate already processed — accepted or
+  // rejected — is never re-verified, so a Byzantine peer resending it
+  // pays us only its content keys and a hash, not a quorum of signature
+  // checks. Hashing raw frame bytes would not work: the decoder tolerates
+  // non-minimal varints and reference vs inline spellings, so one
+  // certificate has unboundedly many byte-distinct frames. The key hashes
+  // the keys-only encoding instead: content keys, rounds, signers and
+  // every signature byte.
   {
     wire::Encoder canonical;
-    encode_cert(canonical, cert, Codec{nullptr, false});
-    const crypto::Sha256::Digest digest =
+    encode_cert(canonical, cert, Codec{store_.get(), false, &batch_keys_});
+    const crypto::Sha256::Digest key =
         crypto::Sha256::hash(std::span(canonical.view()));
-    if (certs_processed_.contains(digest)) {
+    if (certs_processed_.contains(key)) {
       adopt_cert_if_held(cert.round);
       return;
     }
     if (certs_processed_.size() >= (std::size_t{1} << 12)) {
       certs_processed_.clear();
     }
-    certs_processed_.insert(digest);
+    certs_processed_.insert(key);
   }
   if (certs_.contains(cert.round)) {
     // Already trusted; still try adoption (we may have lagged). A

@@ -23,13 +23,25 @@
 // core::EngineBase; this class holds the protocol. With digest_refs,
 // safe-acks, proposals (with their proofs) and decided certificates
 // carry 32-byte value references; INIT batches stay inline. Counters
-// include sig_checks (real signature verifications) and sig_cache_hits
-// (checks answered by the store's verify-once memo). Checkpointing
-// evicts checkpointed bodies, prunes round-indexed collections and
-// provides the snapshot laggard catch-up; ack-req frames advertise the
-// sender's root so vouchers accumulate. The signed proposal/accepted
-// maps stay full — their encodings are signature-pinned, so [root]+delta
-// frame compaction is GWTS-only.
+// include sig_checks (real signature verifications), sig_cache_hits
+// (checks answered by the store's verify-once memo) and conflicts_listed
+// (equivocation pairs signed into safe-acks). Checkpointing evicts
+// checkpointed bodies, prunes round-indexed collections and provides the
+// snapshot laggard catch-up; ack-req frames advertise the sender's root
+// so vouchers accumulate.
+//
+// Hash-then-sign: no signature or digest covers an encoding of values.
+// A batch enters every signed message, the proposal digest and the
+// certificate replay guard as (signer, round, content key), the key
+// being core::content_key — SHA-256(uvarint(k) ‖ digest(e_1) ‖ … ‖
+// digest(e_k)) with element digests from the body store's content index,
+// computed once per batch (BatchKeys). A re-shown batch therefore costs
+// a lookup and ~100 hashed bytes per check, not a re-encode and re-hash
+// of its bodies, and a verify-once memo hit stays exactly as strong as a
+// fresh verification. Because signatures bind 32-byte keys rather than
+// transport bytes, a signed root + delta proposal could carry the same
+// evidence; today the proposal/accepted maps still travel in full, so
+// [root]+delta frame compaction is GWTS-only.
 
 #include <cstdint>
 #include <deque>
@@ -52,7 +64,7 @@
 namespace bla::core {
 
 /// A proposer's batch for one round, bound to its author and round by a
-/// signature over (signer, round, batch).
+/// signature over batch_signing_bytes.
 struct SignedBatch {
   NodeId signer = 0;
   std::uint64_t round = 0;
@@ -105,6 +117,28 @@ struct DecidedCert {
   std::vector<SignedAck> acks;
 };
 
+/// What a proposer signs for its round batch:
+/// "gsbs-batch" ‖ u32 signer ‖ u64 round ‖ `key`, the batch's content key
+/// (core::content_key of its values).
+[[nodiscard]] wire::Bytes batch_signing_bytes(
+    const SignedBatch& sb, const crypto::Sha256::Digest& key);
+
+/// Content keys of signed batches, memoised by (signer, round, values):
+/// a batch re-shown in every later cumulative proposal, proof and
+/// certificate costs one lookup, not k element digests (each a hash when
+/// the body is too small for the store). The key is a pure function of
+/// the values, so a memo answer is exactly what a fresh computation
+/// gives. Bounded: cleared on overflow.
+class BatchKeys {
+public:
+  explicit BatchKeys(const store::BodyStore& store) : store_(store) {}
+  [[nodiscard]] crypto::Sha256::Digest operator()(const SignedBatch& sb);
+
+private:
+  const store::BodyStore& store_;
+  std::map<SignedBatch, crypto::Sha256::Digest> keys_;
+};
+
 class GsbsProcess : public EngineBase {
 public:
   GsbsProcess(EngineConfig config,
@@ -120,7 +154,7 @@ private:
   using ProposalMap = std::map<SignedBatch, std::vector<BatchSafeAck>>;
 
   // -- signing-bytes helpers ------------------------------------------------
-  [[nodiscard]] wire::Bytes batch_signing_bytes(const SignedBatch& sb) const;
+  // All over content keys (see the header note), never value encodings.
   [[nodiscard]] wire::Bytes safe_ack_signing_bytes(
       const BatchSafeAck& ack) const;
   [[nodiscard]] wire::Bytes ack_signing_bytes(const SignedAck& ack) const;
@@ -129,7 +163,8 @@ private:
 
   // -- validation -----------------------------------------------------------
   /// Every signature check of the engine: through the store's
-  /// verify-once memo, counted as a real check or a memo hit.
+  /// verify-once memo, counted as a real check or a memo hit. `message`
+  /// is always content-key signing bytes, so it is short.
   [[nodiscard]] bool check_signature(NodeId signer, wire::BytesView message,
                                      wire::BytesView signature) const;
   [[nodiscard]] bool verify_signed_batch(const SignedBatch& sb) const;
@@ -209,10 +244,13 @@ private:
 
   std::shared_ptr<const crypto::ISigner> signer_;
   std::unique_ptr<store::BodyFetcher> fetcher_;
+  mutable BatchKeys batch_keys_;
   /// Real signature verifications only (verify-once memo misses,
   /// accepted or not); memo hits count in obs_sig_cache_hits_.
   obs::Counter obs_sig_checks_;
   obs::Counter obs_sig_cache_hits_;
+  /// Equivocation pairs this acceptor signed into its safe-acks.
+  obs::Counter obs_conflicts_listed_;
 
   State state_ = State::kInit;
   std::uint64_t ts_ = 0;
@@ -234,9 +272,10 @@ private:
   ProposalMap accepted_;
   std::uint64_t safe_r_ = 0;
   std::map<std::uint64_t, DecidedCert> certs_;  // well-formed, by round
-  // Digests of every kGsbsDecided frame already processed (valid or
-  // not), so replayed certificates cost a hash instead of a quorum of
-  // signature verifications. Bounded: cleared on overflow.
+  // Replay keys of every kGsbsDecided certificate already processed
+  // (valid or not), so a replayed certificate costs its content keys and
+  // a hash instead of a quorum of signature verifications. Bounded:
+  // cleared on overflow.
   std::set<crypto::Sha256::Digest> certs_processed_;
 
   // Buffered frames awaiting round trust.

@@ -1,15 +1,29 @@
 #pragma once
-// Ed25519 signatures (RFC 8032), implemented from scratch:
-//  * field arithmetic mod p = 2^255 - 19 (five 51-bit limbs, __int128 mul)
-//  * twisted Edwards group in extended coordinates with the complete
-//    (unified) addition law, so doubling needs no special case
-//  * scalar arithmetic mod the group order L via a small 512-bit integer
-//    with shift-subtract reduction
+// Ed25519 signatures (RFC 8032), implemented from scratch with the
+// methods of Bernstein et al., "High-speed high-security signatures"
+// (CHES 2011):
+//  * field arithmetic mod p = 2^255 - 19 (five 51-bit limbs, __int128
+//    products, dedicated squaring, addition-chain inversion)
+//  * twisted Edwards group in extended / completed coordinates with a
+//    dedicated doubling
+//  * sign and keygen: [a]B from a table of multiples of B, built once on
+//    first use, read with a masked scan of every entry
+//  * verify: [S]B - [k]A in one Straus pass over sliding-window (NAF)
+//    digits — variable time, its inputs are public
+//  * scalars mod the group order L with Barrett reduction
 //
-// Scope note: this is research-grade crypto for the SbS protocol (§8 of
+// Verification is cofactorless, with verdicts pinned by the crafted-input
+// table in tests/crypto_ed25519_test.cpp: S >= L is rejected, A decodes with y reduced mod p, an A
+// encoding x = 0 with the sign bit set is rejected, and a signature is
+// accepted iff the canonical encoding of [S]B - [k]A equals R's 32 bytes.
+//
+// Scope note: this is research-grade crypto for the SbS protocols (§8 of
 // the paper). It is *correct* (validated against the RFC 8032 test vectors
-// in tests/crypto_ed25519_test.cpp) but variable-time; do not reuse it
-// where timing side channels matter.
+// and known answers from an independent implementation in
+// tests/crypto_ed25519_test.cpp). The secret-dependent steps of signing
+// (table reads, mod-L corrections) use masks rather than branches or
+// secret indices, but nothing here is audited for timing side channels;
+// do not reuse it where they matter.
 
 #include <array>
 #include <cstdint>

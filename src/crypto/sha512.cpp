@@ -53,11 +53,11 @@ void Sha512::reset() {
 void Sha512::compress(const std::uint8_t* block) {
   std::uint64_t w[80];
   for (int i = 0; i < 16; ++i) {
-    std::uint64_t v = 0;
-    for (int j = 0; j < 8; ++j) {
-      v = (v << 8) | block[8 * i + j];
-    }
-    w[i] = v;
+    const std::uint8_t* p = block + 8 * i;
+    w[i] = (std::uint64_t{p[0]} << 56) | (std::uint64_t{p[1]} << 48) |
+           (std::uint64_t{p[2]} << 40) | (std::uint64_t{p[3]} << 32) |
+           (std::uint64_t{p[4]} << 24) | (std::uint64_t{p[5]} << 16) |
+           (std::uint64_t{p[6]} << 8) | std::uint64_t{p[7]};
   }
   for (int i = 16; i < 80; ++i) {
     const std::uint64_t s0 =
@@ -72,10 +72,10 @@ void Sha512::compress(const std::uint8_t* block) {
 
   for (int i = 0; i < 80; ++i) {
     const std::uint64_t s1 = rotr(e, 14) ^ rotr(e, 18) ^ rotr(e, 41);
-    const std::uint64_t ch = (e & f) ^ (~e & g);
+    const std::uint64_t ch = g ^ (e & (f ^ g));
     const std::uint64_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
     const std::uint64_t s0 = rotr(a, 28) ^ rotr(a, 34) ^ rotr(a, 39);
-    const std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint64_t maj = (a & b) | (c & (a | b));
     const std::uint64_t temp2 = s0 + maj;
     h = g;
     g = f;
@@ -122,17 +122,21 @@ void Sha512::update(std::span<const std::uint8_t> data) {
 }
 
 Sha512::Digest Sha512::finish() {
+  // Padding: 0x80, zeros up to 112 mod 128 (spilling into one extra block
+  // when fewer than 17 bytes are left), then the 128-bit big-endian bit
+  // length, whose top half is 0 here.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) update(std::span(&zero, 1));
-  // 128-bit length field; our byte counter is 64-bit so the top half is 0.
-  std::uint8_t len_bytes[16] = {};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(std::span(len_bytes, 16));
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[120 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -19,11 +19,11 @@
 // stays correct for arbitrary opaque bytes, not because honest traffic
 // hits it.
 //
-// Encoding is deterministic (content + flag decide the spelling), which
-// the GSbS replay guard and every signature scheme rely on. Signing bytes
-// are NEVER ref-encoded: signatures and commit digests cover the
-// canonical inline encoding (lattice::encode_value_set), so a reference
-// is pure transport and carries no trust.
+// Encoding is deterministic (content + flag decide the spelling). Signing
+// bytes are NEVER ref-encoded: client batch signatures cover the inline
+// encoding, and GSbS signatures and commit digests cover hashes of
+// element digests (core::content_key), so a reference is pure transport
+// and carries no trust.
 
 #include <cstdint>
 #include <vector>

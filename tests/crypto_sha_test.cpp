@@ -107,6 +107,37 @@ TEST(Sha512, TwoBlockMessage) {
       "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
 }
 
+TEST(Sha512, PaddingBoundaries) {
+  // As Sha256.PaddingBoundaries, for 128-byte blocks and a 16-byte length:
+  // 111 fits in one block, 112 and 127 spill into a second, 128/239/240
+  // repeat the cases one block later. Expected values from Python's
+  // hashlib.sha512(b"a" * n).
+  const std::pair<std::size_t, const char*> cases[] = {
+      {111,
+       "fa9121c7b32b9e01733d034cfc78cbf67f926c7ed83e82200ef8681819692176"
+       "0b4beff48404df811b953828274461673c68d04e297b0eb7b2b4d60fc6b566a2"},
+      {112,
+       "c01d080efd492776a1c43bd23dd99d0a2e626d481e16782e75d54c2503b5dc32"
+       "bd05f0f1ba33e568b88fd2d970929b719ecbb152f58f130a407c8830604b70ca"},
+      {127,
+       "828613968b501dc00a97e08c73b118aa8876c26b8aac93df128502ab360f91ba"
+       "b50a51e088769a5c1eff4782ace147dce3642554199876374291f5d921629502"},
+      {128,
+       "b73d1929aa615934e61a871596b3f3b33359f42b8175602e89f7e06e5f658a24"
+       "3667807ed300314b95cacdd579f3e33abdfbe351909519a846d465c59582f321"},
+      {239,
+       "52c853cb8d907f3d4d6b889beb027985d7c273486d75f8baf26f80d24e90c74c"
+       "6c3de3e22131582380a7d14d43f2941a31385439cd6ddc469f628015e50bf286"},
+      {240,
+       "4c296d90c61052a62ffb1dd196f1b7b09373b1f93e71836baebf89690546b759"
+       "5684dbe9467a8e484fa0d1094272b4344a7c24f5fee8daedeb0bf549c985ab5f"},
+  };
+  for (const auto& [n, expected] : cases) {
+    EXPECT_EQ(hex512(Sha512::hash(std::string(n, 'a'))), expected)
+        << "n=" << n;
+  }
+}
+
 TEST(Sha512, IncrementalMatchesOneShot) {
   const std::string msg(333, 'x');
   const auto oneshot = Sha512::hash(msg);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -122,15 +124,14 @@ struct GsbsFixture {
   }
 };
 
-/// GSbS batch signing bytes (mirrors GsbsProcess::batch_signing_bytes).
+/// What `signer` signs for `batch` in `round`: the engine's own signing
+/// bytes over the batch's content key (an empty store computes every
+/// element digest).
 wire::Bytes batch_signing_bytes(NodeId signer, std::uint64_t round,
                                 const ValueSet& batch) {
-  wire::Encoder enc;
-  enc.str("gsbs-batch");
-  enc.u32(signer);
-  enc.u64(round);
-  lattice::encode_value_set(enc, batch);
-  return enc.take();
+  const store::BodyStore store;
+  return core::batch_signing_bytes(SignedBatch{signer, round, batch, {}},
+                                   content_key(batch.elements(), store));
 }
 
 /// An inline kGsbsInit frame carrying `batch` under `signature`.
@@ -237,14 +238,34 @@ TEST(Gsbs, DoubleSigningBatchesIsNeutralized) {
     std::shared_ptr<const crypto::ISigner> signer_;
   };
 
-  GsbsFixture fx(4, 1, 2, 1,
-                 [&](net::NodeId id) {
-                   return std::make_unique<BatchEquivocator>(
-                       4, signers->signer_for(id));
-                 });
+  const auto registry = std::make_shared<obs::Registry>();
+  GsbsFixture fx(
+      4, 1, 2, 1,
+      [&](net::NodeId id) {
+        return std::make_unique<BatchEquivocator>(4, signers->signer_for(id));
+      },
+      // Correct links are a little slower, so the forged INITs land
+      // first and make every round-0 safety snapshot.
+      std::make_unique<net::TargetedDelay>(
+          std::make_unique<net::ConstantDelay>(1.0),
+          [](net::NodeId from, net::NodeId) { return from != 3; }, 0.5),
+      2, registry);
   // The fixture creates its own signer set with the same seed, so the
   // equivocator's signatures verify.
   fx.net.run();
+  // Both forged batches passed their signature checks, so what kept them
+  // out is the conflict path: some acceptor saw both and signed the pair
+  // into its safe-acks.
+  std::uint64_t conflicts = 0;
+  for (std::size_t i = 0; i < fx.correct.size(); ++i) {
+    for (const auto& [triple, ok] : fx.counters[i]->verdicts) {
+      EXPECT_TRUE(ok) << "node" << i << " rejected a signature";
+    }
+    conflicts += registry->counter("node" + std::to_string(i) +
+                                   "/gsbs/conflicts_listed")
+                     .value();
+  }
+  EXPECT_GT(conflicts, 0u);
   for (const GsbsProcess* proc : fx.correct) {
     ASSERT_GE(proc->decisions().size(), 2u);
     const bool has_a =
@@ -366,6 +387,11 @@ TEST(GsbsVerifyOnce, NoTripleReachesTheVerifierTwice) {
     EXPECT_GT(registry->counter(p + "sig_cache_hits").value(),
               counter.calls)
         << "node" << i;
+    // Hash-then-sign changes what is signed, not which checks run.
+    EXPECT_EQ(registry->counter(p + "sig_checks").value(), 54u)
+        << "node" << i;
+    EXPECT_EQ(registry->counter(p + "sig_cache_hits").value(), 810u)
+        << "node" << i;
   }
 
   // A memo of a pure predicate's `true` results cannot change a decision:
@@ -446,6 +472,108 @@ TEST(GsbsVerifyOnce, MutatedReplayOfCachedBatchIsVerifiedAndRejected) {
         << "node" << i;
     EXPECT_EQ(fx.counters[i]->repeats, 0u) << "node" << i;
     EXPECT_FALSE(fx.correct[i]->decided_set().contains(flipped_value));
+  }
+}
+
+/// Node 3's part in the two tests below: keeps the first frame of type
+/// `keep` it receives and, on the first frame of type `trigger` (the same
+/// frame when the types agree), broadcasts the kept frame once after
+/// `mutate` changed it.
+class MutatingReplayer final : public net::IProcess {
+public:
+  MutatingReplayer(MsgType keep, MsgType trigger,
+                   std::function<void(wire::Bytes&)> mutate)
+      : keep_(keep), trigger_(trigger), mutate_(std::move(mutate)) {}
+  void on_start(net::IContext&) override {}
+  void on_message(net::IContext& ctx, NodeId,
+                  wire::BytesView frame) override {
+    if (done_ || frame.empty()) return;
+    const auto type = static_cast<MsgType>(frame[0]);
+    if (type == keep_ && kept_.empty()) {
+      kept_.assign(frame.begin(), frame.end());
+    }
+    if (type != trigger_ || kept_.empty()) return;
+    done_ = true;
+    mutate_(kept_);
+    ctx.broadcast(kept_);
+  }
+
+private:
+  MsgType keep_;
+  MsgType trigger_;
+  std::function<void(wire::Bytes&)> mutate_;
+  wire::Bytes kept_;
+  bool done_ = false;
+};
+
+/// Signature checks of correct nodes' messages that reached node `i`'s
+/// real verifier and failed.
+std::size_t rejected_correct_signatures(const GsbsFixture& fx, std::size_t i) {
+  std::size_t rejected = 0;
+  for (const auto& [triple, ok] : fx.counters[i]->verdicts) {
+    if (!ok && std::get<0>(triple) < fx.correct.size()) ++rejected;
+  }
+  return rejected;
+}
+
+TEST(GsbsVerifyOnce, FlippedProofBodyInReshownBatchIsVerifiedAndRejected) {
+  // Node 3 keeps the first ack-req it sees. Once a certificate shows that
+  // round ended — a quorum verified and memoised that proposal — it
+  // re-shows the proposal with one byte flipped in the last value body
+  // of the frame, which sits in a proof safe-ack's received batches. The
+  // proven batches' own signatures hit the memo; the proof safe-ack's
+  // signing bytes now hold another content key, so its check must miss
+  // the memo, reach the real verifier and fail there.
+  Value flipped_value;
+  GsbsFixture fx(4, 1, 2, 1, [&](NodeId) {
+    return std::make_unique<MutatingReplayer>(
+        MsgType::kGsbsAckReq, MsgType::kGsbsDecided, [&](wire::Bytes& frame) {
+          // Submitted values are str("gs") ‖ u32 id ‖ u64 round, inline.
+          const wire::Bytes tag{2, 'g', 's'};
+          const auto it = std::find_end(frame.begin(), frame.end(),
+                                        tag.begin(), tag.end());
+          ASSERT_NE(it, frame.end());
+          it[14] ^= 0x01;
+          flipped_value.assign(it, it + 15);
+        });
+  });
+  fx.net.run();
+  check_gla_properties(fx, 1, 2, 4);
+  ASSERT_FALSE(flipped_value.empty());
+  for (std::size_t i = 0; i < fx.correct.size(); ++i) {
+    EXPECT_EQ(rejected_correct_signatures(fx, i), 1u) << "node" << i;
+    EXPECT_EQ(fx.counters[i]->repeats, 0u) << "node" << i;
+    EXPECT_FALSE(fx.correct[i]->decided_set().contains(flipped_value));
+  }
+}
+
+TEST(GsbsVerifyOnce, CertReplayWithFlippedAckSignatureIsVerifiedAndRejected) {
+  // Node 3 re-broadcasts the first certificate it sees with the last
+  // byte of its last ack signature flipped. Links into node 2 from the
+  // correct nodes are slow, so the replay reaches node 2 long before the
+  // genuine certificate: node 2 holds no certificate for that round and
+  // must verify this one. The flipped ack must reach its real verifier
+  // and fail; the genuine certificate, arriving later under another
+  // replay key, is verified on its own merits.
+  constexpr std::size_t kLaggard = 2;
+  GsbsFixture fx(
+      4, 1, 2, 1,
+      [](NodeId) {
+        return std::make_unique<MutatingReplayer>(
+            MsgType::kGsbsDecided, MsgType::kGsbsDecided,
+            [](wire::Bytes& frame) { frame.back() ^= 0x01; });
+      },
+      std::make_unique<net::TargetedDelay>(
+          std::make_unique<net::ConstantDelay>(1.0),
+          [](net::NodeId from, net::NodeId to) {
+            return to == kLaggard && from != 3;
+          },
+          20.0));
+  fx.net.run();
+  check_gla_properties(fx, 1, 2, 4);
+  EXPECT_EQ(rejected_correct_signatures(fx, kLaggard), 1u);
+  for (std::size_t i = 0; i < fx.correct.size(); ++i) {
+    EXPECT_EQ(fx.counters[i]->repeats, 0u) << "node" << i;
   }
 }
 
