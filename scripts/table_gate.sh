@@ -6,6 +6,14 @@
 # message count, a byte total, a decision — is a behaviour change. A
 # bench that exits nonzero (its own [FAIL] verdict) fails the gate too.
 #
+# It then runs two simulator legs of the fuzzer, whose lines are
+# deterministic per seed, and diffs their joint stdout against
+# bench/expected/bench_fault_fuzz_sim.txt:
+#   bench_fault_fuzz --seeds=1:11 --net=sim
+#   bench_fault_fuzz --seeds=1:6 --net=sim --ckpt=8 --laggard
+# The second leg forces checkpointing and a laggard crash window, so it
+# drives snapshot pulls and their verification.
+#
 # Usage: scripts/table_gate.sh [--update] [build-dir]   (default: build)
 #   --update  rewrite the expected files from this build instead of
 #             diffing (only for a change that is meant to move them).
@@ -58,4 +66,26 @@ for bench in "${BENCHES[@]}"; do
     status=1
   fi
 done
+
+fuzz="$BUILD/bench/bench_fault_fuzz"
+if [[ ! -x $fuzz ]]; then
+  echo "table_gate: missing $fuzz (build first)" >&2
+  exit 2
+fi
+out="$WORK/bench_fault_fuzz_sim.txt"
+if ! { "$fuzz" --seeds=1:11 --net=sim --out="$WORK/fuzz_failures.txt" &&
+       "$fuzz" --seeds=1:6 --net=sim --ckpt=8 --laggard \
+         --out="$WORK/fuzz_failures.txt"; } > "$out"; then
+  echo "FAIL bench_fault_fuzz: a simulator schedule violated safety" >&2
+  status=1
+elif [[ $UPDATE == 1 ]]; then
+  cp "$out" "$EXPECTED/bench_fault_fuzz_sim.txt"
+  echo "updated bench_fault_fuzz_sim"
+elif diff -u "$EXPECTED/bench_fault_fuzz_sim.txt" "$out"; then
+  echo "ok   bench_fault_fuzz_sim"
+else
+  echo "FAIL bench_fault_fuzz_sim: stdout differs from" \
+       "bench/expected/bench_fault_fuzz_sim.txt" >&2
+  status=1
+fi
 exit $status

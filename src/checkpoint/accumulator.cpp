@@ -1,7 +1,8 @@
 #include "checkpoint/accumulator.hpp"
 
 #include <algorithm>
-#include <span>
+#include <cstdint>
+#include <vector>
 
 #include "wire/wire.hpp"
 
@@ -16,254 +17,32 @@ Hash parent_hash(const Hash& left, const Hash& right) {
   return crypto::Sha256::hash(std::span<const std::uint8_t>(buf, 64));
 }
 
-/// Perfect-tree sizes of an n-leaf forest, forest order (largest first).
-std::vector<std::uint64_t> tree_sizes(std::uint64_t n) {
-  std::vector<std::uint64_t> sizes;
-  for (int b = 63; b >= 0; --b) {
-    const std::uint64_t s = std::uint64_t{1} << b;
-    if (n & s) sizes.push_back(s);
-  }
-  return sizes;
-}
-
+/// Root of a perfect tree (leaves.size() is a power of two).
 Hash tree_root(std::span<const Hash> leaves) {
   std::vector<Hash> level(leaves.begin(), leaves.end());
-  while (level.size() > 1) {
-    std::vector<Hash> next(level.size() / 2);
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      next[i] = parent_hash(level[2 * i], level[2 * i + 1]);
+  for (std::size_t width = level.size(); width > 1; width /= 2) {
+    for (std::size_t i = 0; i < width / 2; ++i) {
+      level[i] = parent_hash(level[2 * i], level[2 * i + 1]);
     }
-    level = std::move(next);
   }
-  return level.empty() ? Hash{} : level[0];
-}
-
-std::vector<Hash> forest_roots(std::span<const Hash> leaves) {
-  std::vector<Hash> roots;
-  std::uint64_t start = 0;
-  for (const std::uint64_t size : tree_sizes(leaves.size())) {
-    roots.push_back(tree_root(leaves.subspan(start, size)));
-    start += size;
-  }
-  return roots;
-}
-
-Hash commitment_over(std::uint64_t num_leaves, const std::vector<Hash>& roots) {
-  wire::Encoder enc;
-  enc.uvarint(num_leaves);
-  for (const Hash& r : roots) enc.raw(std::span(r.data(), r.size()));
-  return crypto::Sha256::hash(std::span(enc.view()));
-}
-
-/// Prover walk over one perfect tree: emits (in canonical bottom-up,
-/// position-ascending order) exactly the sibling hashes the verifier
-/// cannot derive from the targets.
-void prove_tree(std::span<const Hash> leaves,
-                std::vector<std::uint64_t> offsets, std::vector<Hash>& out) {
-  std::vector<std::vector<Hash>> levels;
-  levels.emplace_back(leaves.begin(), leaves.end());
-  while (levels.back().size() > 1) {
-    const std::vector<Hash>& prev = levels.back();
-    std::vector<Hash> next(prev.size() / 2);
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      next[i] = parent_hash(prev[2 * i], prev[2 * i + 1]);
-    }
-    levels.push_back(std::move(next));
-  }
-  for (std::size_t level = 0; levels[level].size() > 1; ++level) {
-    std::vector<std::uint64_t> next;
-    for (std::size_t i = 0; i < offsets.size();) {
-      const std::uint64_t off = offsets[i];
-      const std::uint64_t sib = off ^ 1;
-      if (i + 1 < offsets.size() && offsets[i + 1] == sib) {
-        i += 2;  // sibling is itself a target: nothing to prove
-      } else {
-        out.push_back(levels[level][sib]);
-        ++i;
-      }
-      next.push_back(off >> 1);
-    }
-    offsets = std::move(next);
-  }
-}
-
-/// Verifier walk: recomputes the tree root from target (offset, hash)
-/// pairs, consuming proof hashes in the prover's canonical order.
-std::optional<Hash> climb_tree(
-    std::uint64_t size, std::vector<std::pair<std::uint64_t, Hash>> row,
-    std::span<const Hash> proof, std::size_t& cursor) {
-  for (std::uint64_t width = size; width > 1; width >>= 1) {
-    std::vector<std::pair<std::uint64_t, Hash>> next;
-    for (std::size_t i = 0; i < row.size();) {
-      const std::uint64_t off = row[i].first;
-      const std::uint64_t sib = off ^ 1;
-      Hash left, right;
-      if (i + 1 < row.size() && row[i + 1].first == sib) {
-        left = row[i].second;
-        right = row[i + 1].second;
-        i += 2;
-      } else {
-        if (cursor >= proof.size()) return std::nullopt;
-        const Hash& sibling = proof[cursor++];
-        if (off & 1) {
-          left = sibling;
-          right = row[i].second;
-        } else {
-          left = row[i].second;
-          right = sibling;
-        }
-        ++i;
-      }
-      next.emplace_back(off >> 1, parent_hash(left, right));
-    }
-    row = std::move(next);
-  }
-  if (row.size() != 1) return std::nullopt;
-  return row[0].second;
+  return level[0];
 }
 
 }  // namespace
 
-bool BatchProof::sane(std::uint64_t num_leaves) const {
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] >= num_leaves) return false;
-    if (i > 0 && targets[i] <= targets[i - 1]) return false;
-  }
-  return true;
-}
-
-bool MerkleForest::add(const std::vector<Hash>& leaves) {
-  for (const Hash& leaf : leaves) {
-    if (pos_.contains(leaf)) return false;
-  }
-  // Reject intra-batch duplicates too, before mutating.
-  {
-    std::vector<Hash> sorted = leaves;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      return false;
-    }
-  }
-  for (const Hash& leaf : leaves) {
-    pos_.emplace(leaf, leaves_.size());
-    leaves_.push_back(leaf);
-  }
-  return true;
-}
-
-bool MerkleForest::remove(const std::vector<Hash>& leaves) {
-  std::vector<std::uint64_t> victims;
-  victims.reserve(leaves.size());
-  for (const Hash& leaf : leaves) {
-    const auto it = pos_.find(leaf);
-    if (it == pos_.end()) return false;
-    victims.push_back(it->second);
-  }
-  std::sort(victims.begin(), victims.end());
-  if (std::adjacent_find(victims.begin(), victims.end()) != victims.end()) {
-    return false;  // duplicate in the batch
-  }
-  // Order-preserving compaction, so an add/remove round-trip restores
-  // the exact previous forest.
-  std::vector<Hash> kept;
-  kept.reserve(leaves_.size() - victims.size());
-  std::size_t v = 0;
-  for (std::uint64_t i = 0; i < leaves_.size(); ++i) {
-    if (v < victims.size() && victims[v] == i) {
-      ++v;
-      continue;
-    }
-    kept.push_back(leaves_[i]);
-  }
-  leaves_ = std::move(kept);
-  pos_.clear();
-  for (std::uint64_t i = 0; i < leaves_.size(); ++i) {
-    pos_.emplace(leaves_[i], i);
-  }
-  return true;
-}
-
-std::optional<std::uint64_t> MerkleForest::position(const Hash& leaf) const {
-  const auto it = pos_.find(leaf);
-  if (it == pos_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<Hash> MerkleForest::roots() const { return forest_roots(leaves_); }
-
-Hash MerkleForest::commitment() const {
-  return commitment_over(leaves_.size(), roots());
-}
-
-Hash MerkleForest::commitment_of(const std::vector<Hash>& leaves) {
-  return commitment_over(leaves.size(), forest_roots(leaves));
-}
-
-std::optional<BatchProof> MerkleForest::prove(
-    const std::vector<Hash>& targets) const {
-  BatchProof proof;
-  proof.targets.reserve(targets.size());
-  for (const Hash& t : targets) {
-    const auto it = pos_.find(t);
-    if (it == pos_.end()) return std::nullopt;
-    proof.targets.push_back(it->second);
-  }
-  std::sort(proof.targets.begin(), proof.targets.end());
-  if (std::adjacent_find(proof.targets.begin(), proof.targets.end()) !=
-      proof.targets.end()) {
-    return std::nullopt;  // duplicate targets
-  }
+Hash commitment(std::span<const Hash> leaves) {
+  const std::uint64_t n = leaves.size();
+  wire::Encoder enc;
+  enc.uvarint(n);
   std::uint64_t start = 0;
-  std::size_t cursor = 0;
-  for (const std::uint64_t size : tree_sizes(leaves_.size())) {
-    std::vector<std::uint64_t> offsets;
-    while (cursor < proof.targets.size() &&
-           proof.targets[cursor] < start + size) {
-      offsets.push_back(proof.targets[cursor] - start);
-      ++cursor;
-    }
-    const std::span<const Hash> tree(leaves_.data() + start, size);
-    if (offsets.empty()) {
-      // Untouched tree: its root rides in the proof so the verifier can
-      // recompute the commitment without the forest.
-      proof.hashes.push_back(tree_root(tree));
-    } else {
-      prove_tree(tree, std::move(offsets), proof.hashes);
-    }
+  for (int b = 63; b >= 0; --b) {
+    const std::uint64_t size = std::uint64_t{1} << b;
+    if ((n & size) == 0) continue;
+    const Hash root = tree_root(leaves.subspan(start, size));
+    enc.raw(std::span(root.data(), root.size()));
     start += size;
   }
-  return proof;
-}
-
-bool MerkleForest::verify(const Hash& commitment, std::uint64_t num_leaves,
-                          const BatchProof& proof,
-                          const std::vector<Hash>& target_hashes) {
-  if (!proof.sane(num_leaves)) return false;
-  if (target_hashes.size() != proof.targets.size()) return false;
-  std::vector<Hash> roots;
-  std::uint64_t start = 0;
-  std::size_t t = 0;       // index into proof.targets / target_hashes
-  std::size_t cursor = 0;  // index into proof.hashes
-  for (const std::uint64_t size : tree_sizes(num_leaves)) {
-    std::vector<std::pair<std::uint64_t, Hash>> row;
-    while (t < proof.targets.size() && proof.targets[t] < start + size) {
-      row.emplace_back(proof.targets[t] - start, target_hashes[t]);
-      ++t;
-    }
-    if (row.empty()) {
-      if (cursor >= proof.hashes.size()) return false;
-      roots.push_back(proof.hashes[cursor++]);
-    } else {
-      const auto root = climb_tree(size, std::move(row),
-                                   std::span<const Hash>(proof.hashes),
-                                   cursor);
-      if (!root) return false;
-      roots.push_back(*root);
-    }
-    start += size;
-  }
-  if (cursor != proof.hashes.size()) return false;  // trailing junk
-  return commitment_over(num_leaves, roots) == commitment;
+  return crypto::Sha256::hash(std::span(enc.view()));
 }
 
 }  // namespace bla::checkpoint

@@ -1,32 +1,26 @@
 #pragma once
-// Merkle forest accumulator — the checkpoint state commitment (ISSUE 9).
+// The checkpoint state commitment.
 //
-// Models the utreexo design (mit-dci/libutreexo): the accumulated set is
-// a forest of perfect binary Merkle trees, one per set bit of the leaf
-// count, so membership of n leaves is committed by O(log n) roots. Adds
-// and deletes are batched; membership is demonstrated with a BatchProof —
-// the sorted target positions plus exactly the sibling hashes a verifier
-// cannot recompute from the targets themselves. Unlike a pollard we keep
-// every leaf (the checkpoint snapshot must re-serve evicted bodies, so
-// the full leaf set is retained anyway); proofs and roots are computed
-// from the leaves on demand.
+// A checkpoint commits a whole decided set, never a change to one: GLA
+// Comparability makes the decided sets of correct replicas a chain, so
+// replicas that reach the same set hash the same canonically sorted
+// element digests and derive a bit-identical root, whatever
+// intermediate decisions each observed. A laggard pulling a snapshot
+// gets every element, hashes each one itself, and accepts the snapshot
+// only when those leaves re-derive the exact root its peers referenced.
 //
-// Commitment = SHA-256 over (leaf count, root hashes in forest order).
-// Any mutation — a different leaf set, a tampered proof hash, a wrong
-// target position — changes a recomputed root and fails the commitment
-// comparison, which is what the checkpoint catch-up protocol relies on:
-// a laggard accepts a snapshot only when the offered elements re-derive
-// the exact root its peers vouched for.
+// Formula (it travels in compact sets and snapshot replies, so it must
+// not drift; tests/accumulator_test.cpp pins known answers):
 //
-// Determinism: forest layout is a pure function of the insertion order
-// of the *current* leaf vector; remove() compacts order-preservingly, so
-// add(X) followed by remove(X) restores the previous roots bit-for-bit
-// (the round-trip property tests/accumulator_test.cpp exercises).
+//   commitment = SHA-256(uvarint(n) ‖ root_1 ‖ … ‖ root_k)
+//
+// where the n leaves are split, in order, into perfect binary Merkle
+// trees, one per set bit of n, largest first, and root_i is the root of
+// the i-th tree (a parent is SHA-256(left ‖ right)). The tree shape
+// leaves room for incremental updates and membership proofs should a
+// durable log ever need them; the full-set check needs neither.
 
-#include <cstdint>
-#include <map>
-#include <optional>
-#include <vector>
+#include <span>
 
 #include "crypto/sha256.hpp"
 
@@ -34,65 +28,7 @@ namespace bla::checkpoint {
 
 using Hash = crypto::Sha256::Digest;
 
-/// Batch membership proof: `targets` are leaf positions (sorted,
-/// ascending) in the forest the proof was generated against; `hashes`
-/// are the sibling/root hashes consumed in canonical order (trees in
-/// forest order; within a tree bottom-up, positions ascending; trees
-/// without targets contribute their root as a single hash).
-struct BatchProof {
-  std::vector<std::uint64_t> targets;
-  std::vector<Hash> hashes;
-
-  /// Structural sanity (utreexo BatchProof::CheckSanity analogue):
-  /// targets sorted, unique, and within the forest's leaf count.
-  [[nodiscard]] bool sane(std::uint64_t num_leaves) const;
-};
-
-class MerkleForest {
- public:
-  /// Appends leaves (batch add). Duplicate leaves are rejected —
-  /// returns false and leaves the forest untouched (checkpoint leaves
-  /// are content digests, so a duplicate is a caller bug).
-  bool add(const std::vector<Hash>& leaves);
-
-  /// Batch delete. Returns false (and mutates nothing) unless every
-  /// leaf is present. Remaining leaves keep their relative order.
-  bool remove(const std::vector<Hash>& leaves);
-
-  [[nodiscard]] std::size_t size() const { return leaves_.size(); }
-  [[nodiscard]] bool has(const Hash& leaf) const {
-    return pos_.contains(leaf);
-  }
-  [[nodiscard]] std::optional<std::uint64_t> position(const Hash& leaf) const;
-
-  /// One root per set bit of size(), forest order (largest tree first).
-  [[nodiscard]] std::vector<Hash> roots() const;
-
-  /// The 32-byte state commitment over (size, roots).
-  [[nodiscard]] Hash commitment() const;
-
-  /// Proof that every hash in `targets` is a current leaf; nullopt when
-  /// any is absent. Proof order is canonical, so equal forests produce
-  /// byte-identical proofs.
-  [[nodiscard]] std::optional<BatchProof> prove(
-      const std::vector<Hash>& targets) const;
-
-  /// Verifies `proof` against a commitment: `target_hashes[i]` claims to
-  /// be the leaf at `proof.targets[i]` of a forest with `num_leaves`
-  /// leaves committing to `commitment`. Stateless — a laggard verifies
-  /// snapshots against a vouched root without holding the forest.
-  [[nodiscard]] static bool verify(const Hash& commitment,
-                                   std::uint64_t num_leaves,
-                                   const BatchProof& proof,
-                                   const std::vector<Hash>& target_hashes);
-
-  /// The commitment of a forest holding exactly `leaves` in order —
-  /// what a peer rebuilding from a full snapshot checks first.
-  [[nodiscard]] static Hash commitment_of(const std::vector<Hash>& leaves);
-
- private:
-  std::vector<Hash> leaves_;
-  std::map<Hash, std::uint64_t> pos_;  // leaf -> current position
-};
+/// The commitment over `leaves`, in the order given.
+[[nodiscard]] Hash commitment(std::span<const Hash> leaves);
 
 }  // namespace bla::checkpoint

@@ -23,11 +23,47 @@ void write_digest(wire::Encoder& enc, const Digest& d) {
   enc.raw(std::span(d.data(), d.size()));
 }
 
-std::vector<Hash> element_digests(const std::vector<Value>& elems) {
-  std::vector<Hash> out;
-  out.reserve(elems.size());
-  for (const Value& v : elems) out.push_back(store::body_digest(v));
-  return out;
+/// The rest of a kCkptSnapshot reply for `root`: nullopt for a clean
+/// not-found; throws WireError when the frame is malformed or its
+/// elements do not re-derive `root`.
+std::optional<Snapshot> decode_snapshot(const Digest& root,
+                                        wire::Decoder& dec) {
+  const std::uint8_t found = dec.u8();
+  if (found == 0) {
+    dec.expect_done();
+    return std::nullopt;
+  }
+  const std::uint64_t num_leaves = dec.uvarint();
+  const std::uint64_t target_count = dec.uvarint();
+  const std::uint64_t hash_count = dec.uvarint();
+  if (num_leaves > lattice::kMaxSetElements ||
+      target_count != num_leaves || hash_count != 0) {
+    throw wire::WireError("bad snapshot shape");
+  }
+  const std::uint64_t elem_count = dec.uvarint();
+  if (elem_count != num_leaves) throw wire::WireError("bad snapshot count");
+  std::vector<Value> elems;
+  elems.reserve(elem_count);
+  for (std::uint64_t i = 0; i < elem_count; ++i) {
+    elems.push_back(lattice::decode_value(dec));
+    if (i > 0 && !(elems[i - 1] < elems[i])) {
+      throw wire::WireError("snapshot not canonical");
+    }
+  }
+  dec.expect_done();
+  // Untrusted bytes: every leaf is hashed here, never looked up.
+  std::vector<Hash> leaves;
+  leaves.reserve(elems.size());
+  for (const Value& v : elems) leaves.push_back(store::body_digest(v));
+  if (commitment(leaves) != root) {
+    throw wire::WireError("snapshot does not re-derive its root");
+  }
+  Snapshot snap;
+  snap.seq = 0;  // foreign snapshots carry no own-sequence meaning
+  snap.root = root;
+  snap.elements = std::make_shared<const std::vector<Value>>(std::move(elems));
+  snap.leaves = std::make_shared<const std::vector<Hash>>(std::move(leaves));
+  return snap;
 }
 
 /// Leaf digest of `body` when `s` holds it: a binary search over the
@@ -53,7 +89,6 @@ CheckpointManager::CheckpointManager(Config config, SendFn send,
     : config_(std::move(config)),
       send_(std::move(send)),
       on_adopt_(std::move(on_adopt)) {
-  if (config_.vouch_quorum == 0) config_.vouch_quorum = config_.f + 1;
   config_.registry = obs::registry_or_private(std::move(config_.registry));
   const std::string p =
       "node" + std::to_string(config_.self) + "/checkpoint/";
@@ -106,7 +141,7 @@ bool CheckpointManager::take(const ValueSet& decided, bool forced) {
   for (const Value& v : *elements) leaves.push_back(leaf_digest(v));
   Snapshot snap;
   snap.seq = own_.seq + 1;
-  snap.root = MerkleForest::commitment_of(leaves);
+  snap.root = commitment(leaves);
   snap.elements = std::move(elements);
   snap.leaves = std::make_shared<const std::vector<Hash>>(std::move(leaves));
   previous_ = std::move(own_);
@@ -204,14 +239,6 @@ const Snapshot* CheckpointManager::find_root(const Digest& root) const {
   return nullptr;
 }
 
-bool CheckpointManager::elements_leq(const ValueSet& full) const {
-  if (!own_.elements) return true;
-  for (const Value& v : *own_.elements) {
-    if (!full.contains(v)) return false;
-  }
-  return true;
-}
-
 // -- compact set codec ------------------------------------------------------
 
 void CheckpointManager::encode_compact_set(wire::Encoder& enc,
@@ -277,7 +304,7 @@ void CheckpointManager::await_root(const Digest& root, NodeId hint,
     replays_parked_.inc();
   }
   add_candidates(st, hint);
-  if (!st.verified && !st.outstanding) send_pull(it->first, st);
+  if (!st.verified && st.outstanding.empty()) send_pull(it->first, st);
   // The hint peer implicitly references the root too.
   vouch(root, hint);
 }
@@ -301,7 +328,7 @@ void CheckpointManager::send_pull(const Digest& root, PendingRoot& st) {
   wire::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(MsgType::kCkptPull));
   write_digest(enc, root);
-  st.outstanding = true;
+  st.outstanding.insert(to);
   pulls_sent_.inc();
   send_(to, enc.take());
 }
@@ -323,12 +350,12 @@ std::size_t CheckpointManager::retry_pending() {
 bool CheckpointManager::handle(NodeId from, std::uint8_t type,
                                wire::Decoder& dec) {
   if (!is_checkpoint_type(type)) return false;
+  if (type == static_cast<std::uint8_t>(MsgType::kCkptSnapshot)) {
+    on_snapshot(from, dec);
+    return true;
+  }
   try {
-    if (type == static_cast<std::uint8_t>(MsgType::kCkptPull)) {
-      on_pull(from, dec);
-    } else {
-      on_snapshot(from, dec);
-    }
+    on_pull(from, dec);
   } catch (const wire::WireError&) {
     snapshot_rejects_.inc();  // malformed: Byzantine sender
   }
@@ -348,67 +375,39 @@ void CheckpointManager::on_pull(NodeId from, wire::Decoder& dec) {
     return;
   }
   enc.u8(1);
-  // Full-set batch proof: targets are every leaf position, so the proof
-  // needs no sibling hashes — the verifier recomputes every root from
-  // the elements themselves and checks the commitment.
+  // The whole set: the requester hashes every element and recomputes
+  // the commitment itself.
   const std::vector<Value>& elems = *snap->elements;
   enc.uvarint(elems.size());       // num_leaves
-  enc.uvarint(elems.size());       // proof targets (0..n-1, implied)
-  enc.uvarint(0);                  // proof hashes
+  enc.uvarint(elems.size());       // targets: every leaf
+  enc.uvarint(0);                  // extra hashes: none
   enc.uvarint(elems.size());       // elements, canonical order
   for (const Value& v : elems) lattice::encode_value(enc, v);
   snapshots_served_.inc();
   send_(from, enc.take());
 }
 
-void CheckpointManager::on_snapshot(NodeId /*from*/, wire::Decoder& dec) {
+void CheckpointManager::on_snapshot(NodeId from, wire::Decoder& dec) {
+  // Only the reply to one of our own unanswered pulls for the root counts
+  // (the store::BodyFetcher::on_reply rule). Anything else — a peer we
+  // never asked, a late or duplicate reply for a root already adopted, a
+  // frame too short to name a root — is dropped unparsed: it must
+  // neither rotate the pull nor raise the reject warning.
+  if (dec.remaining() < crypto::Sha256::kDigestSize) return;
   const Digest root = read_digest(dec);
   const auto it = pending_.find(root);
-  // Unsolicited, or a late/duplicate reply for a root already adopted:
-  // drop it unparsed — it is neither an error nor evidence of one.
-  if (it == pending_.end()) return;
+  if (it == pending_.end() || it->second.outstanding.erase(from) == 0) return;
   PendingRoot& st = it->second;
-  st.outstanding = false;
-  const std::uint8_t found = dec.u8();
-  if (found == 0) {
-    dec.expect_done();
-    send_pull(root, st);  // rotate
+  std::optional<Snapshot> snap;
+  try {
+    snap = decode_snapshot(root, dec);
+  } catch (const wire::WireError&) {
+    snapshot_rejects_.inc();  // the asked peer answered with garbage
+  }
+  if (!snap) {
+    send_pull(root, st);  // not found or garbage: rotate to the next peer
     return;
   }
-  const std::uint64_t num_leaves = dec.uvarint();
-  const std::uint64_t target_count = dec.uvarint();
-  const std::uint64_t hash_count = dec.uvarint();
-  if (num_leaves > lattice::kMaxSetElements ||
-      target_count != num_leaves || hash_count != 0) {
-    throw wire::WireError("bad snapshot shape");
-  }
-  const std::uint64_t elem_count = dec.uvarint();
-  if (elem_count != num_leaves) throw wire::WireError("bad snapshot count");
-  std::vector<Value> elems;
-  elems.reserve(elem_count);
-  for (std::uint64_t i = 0; i < elem_count; ++i) {
-    elems.push_back(lattice::decode_value(dec));
-    if (i > 0 && !(elems[i - 1] < elems[i])) {
-      throw wire::WireError("snapshot not canonical");
-    }
-  }
-  dec.expect_done();
-  // Verify the accumulator batch proof (full-set form) against the root.
-  BatchProof proof;
-  proof.targets.resize(elems.size());
-  for (std::uint64_t i = 0; i < elems.size(); ++i) proof.targets[i] = i;
-  // Untrusted bytes: every leaf is hashed here, never looked up.
-  std::vector<Hash> leaves = element_digests(elems);
-  if (!MerkleForest::verify(root, elems.size(), proof, leaves)) {
-    snapshot_rejects_.inc();
-    send_pull(root, st);  // garbage: rotate to the next provider
-    return;
-  }
-  Snapshot snap;
-  snap.seq = 0;  // foreign snapshots carry no own-sequence meaning
-  snap.root = root;
-  snap.elements = std::make_shared<const std::vector<Value>>(std::move(elems));
-  snap.leaves = std::make_shared<const std::vector<Hash>>(std::move(leaves));
   st.verified = std::move(snap);
   st.known_safe =
       config_.element_known &&
@@ -421,7 +420,8 @@ void CheckpointManager::try_adopt(const Digest& root) {
   const auto it = pending_.find(root);
   if (it == pending_.end() || !it->second.verified) return;
   PendingRoot& st = it->second;
-  const bool quorum = st.vouchers.size() >= config_.vouch_quorum;
+  // f+1 vouchers include at least one correct replica.
+  const bool quorum = st.vouchers.size() >= config_.f + 1;
   if (!quorum && !st.known_safe) return;
   adopt(root, std::move(*st.verified), quorum);
 }

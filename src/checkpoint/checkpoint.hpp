@@ -5,10 +5,11 @@
 // is already agreed via the engines (GLA Comparability makes every
 // correct replica's decided chain a prefix order), so each replica can
 // commit its own decided set whenever it has grown `interval` elements
-// past the last checkpoint. The commitment is a Merkle forest
-// accumulator over the canonical (sorted) element digests, so replicas
-// that reach the same decided set derive bit-identical roots no matter
-// which intermediate decisions they observed.
+// past the last checkpoint. The root is a full-set commitment
+// (checkpoint/accumulator.hpp) over the canonical (sorted) element
+// digests, so replicas that reach the same decided set derive
+// bit-identical roots no matter which intermediate decisions they
+// observed.
 //
 // Once a checkpoint is taken, downstream state collapses:
 //  * checkpointed value bodies are EVICTED from the BodyStore; the
@@ -24,8 +25,10 @@
 //
 // Catch-up: a frame carrying an unknown root parks via await_root and
 // the manager pulls the snapshot from the sender (kCkptPull →
-// kCkptSnapshot: elements + accumulator batch proof). A verified
-// snapshot is adopted either
+// kCkptSnapshot: every element of the set). Only the asked peer's reply
+// counts; the laggard hashes each element itself and keeps the snapshot
+// only when those leaves re-derive the root. A verified snapshot is
+// adopted either
 //  (a) locally — every element already passes the owner's
 //      `element_known` predicate (it was disclosed/decided here), so
 //      expansion adds no new trust; or
@@ -69,13 +72,13 @@ enum class MsgType : std::uint8_t { kCkptPull = 60, kCkptSnapshot = 61 };
          t == static_cast<std::uint8_t>(MsgType::kCkptSnapshot);
 }
 
-/// One committed checkpoint: the accumulator root over the canonical
-/// element digests plus the snapshot itself. seq 0 = "none yet".
+/// One committed checkpoint: the commitment over the canonical element
+/// digests plus the snapshot itself. seq 0 = "none yet".
 struct Snapshot {
   std::uint64_t seq = 0;
   Digest root{};
   std::shared_ptr<const std::vector<Value>> elements;  // sorted, unique
-  /// The accumulator leaves: leaves[i] = SHA-256 of elements[i].
+  /// The committed leaves: leaves[i] = SHA-256 of elements[i].
   std::shared_ptr<const std::vector<Digest>> leaves;
 
   [[nodiscard]] std::size_t size() const {
@@ -91,10 +94,6 @@ struct Config {
   /// elements past the last one. 0 = checkpointing disabled (every
   /// manager call degenerates to a no-op / plain passthrough codec).
   std::size_t interval = 0;
-  /// Distinct peers that must reference a root before its pulled
-  /// snapshot is adopted sight-unseen. 0 = default f+1 (at least one
-  /// correct voucher).
-  std::size_t vouch_quorum = 0;
   std::shared_ptr<store::BodyStore> store;
   std::shared_ptr<obs::Registry> registry;
   /// Owner predicate: the value is already known-safe locally (e.g. it
@@ -107,7 +106,7 @@ class CheckpointManager : private store::BodyStore::Fallback {
  public:
   using SendFn = std::function<void(NodeId, wire::Bytes)>;
   /// Adoption upcall. `quorum_vouched` distinguishes the laggard path
-  /// (root referenced by ≥ vouch-quorum distinct peers; the engine may
+  /// (root referenced by ≥ f+1 distinct peers; the engine may
   /// merge the snapshot into decided state) from local verification
   /// (expansion-only).
   using AdoptFn = std::function<void(const Snapshot&, bool quorum_vouched)>;
@@ -136,9 +135,6 @@ class CheckpointManager : private store::BodyStore::Fallback {
   /// safety predicates.
   [[nodiscard]] bool covered_any(const Value& v) const;
   [[nodiscard]] bool knows_root(const Digest& root) const;
-  /// Every own-checkpoint element is contained in `full` (the
-  /// checkpointed half of a logical ⊆ test over [root]+delta state).
-  [[nodiscard]] bool elements_leq(const ValueSet& full) const;
 
   // -- compact set codec ----------------------------------------------------
   // Wire layout: [flags u8][root 32B when flags&1][value set, ref codec].
@@ -193,9 +189,9 @@ class CheckpointManager : private store::BodyStore::Fallback {
     std::set<NodeId> vouchers;
     std::vector<NodeId> candidates;  // pull rotation, deduped, no self
     std::size_t next = 0;            // next candidate to pull from
-    bool outstanding = false;        // a pull is in flight
+    std::set<NodeId> outstanding;    // peers with an unanswered pull
     std::vector<std::function<void()>> replays;
-    std::optional<Snapshot> verified;  // pulled + proof-checked
+    std::optional<Snapshot> verified;  // pulled + commitment-checked
     bool known_safe = false;  // element_known passed for all elements
     std::size_t rearms = 0;
   };
@@ -237,7 +233,7 @@ class CheckpointManager : private store::BodyStore::Fallback {
   obs::Counter reserved_;  // fallback body re-serves
   obs::Counter pulls_sent_;
   obs::Counter snapshots_served_;
-  obs::Counter snapshot_rejects_;  // warning: failed proof / malformed
+  obs::Counter snapshot_rejects_;  // warning: bad root / malformed
   obs::Counter adopted_count_;
   obs::Counter adopted_quorum_;
   obs::Counter replays_parked_;

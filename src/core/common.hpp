@@ -43,11 +43,12 @@ static_assert(max_faulty(4) == 1);
 static_assert(max_faulty(7) == 2);
 static_assert(max_faulty(10) == 3);
 
-/// Opt-in recovery for lossy links (the src/fault injection layer, and
-/// eventually real sockets — ROADMAP item 2). When enabled, an engine
-/// arms a periodic timer and, after `stall_after` time units without
-/// protocol progress, re-sends its current phase frame, runs Bracha
-/// vote-request anti-entropy, and re-arms dormant body fetches. Default
+/// Opt-in recovery for lossy links (the src/fault injection layer and
+/// the socket runtime: replicad, SocketCluster and the fuzzer's socket
+/// schedules all turn it on). When enabled, an engine arms a periodic
+/// timer and, after `stall_after` time units without protocol progress,
+/// re-sends its current phase frame, runs Bracha vote-request
+/// anti-entropy, and re-arms dormant body fetches. Default
 /// OFF: on the reliable in-process runtimes recovery is pure overhead,
 /// and resilience tests deliberately run *to quiescence* with no
 /// decision — an always-re-arming timer would keep the simulator alive

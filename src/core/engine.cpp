@@ -16,8 +16,7 @@ EngineBase::EngineBase(EngineConfig config, DecideFn on_decide,
       store_(store ? std::move(store) : std::make_shared<store::BodyStore>()),
       registry_(obs::registry_or_private(config_.registry)),
       ckpt_(checkpoint::Config{config_.self, config_.n, config_.f,
-                               config_.checkpoint_interval,
-                               /*vouch_quorum=*/0, store_, registry_,
+                               config_.checkpoint_interval, store_, registry_,
                                std::move(known_safe)},
             [this](NodeId to, wire::Bytes bytes) {
               ctx_->send(to, std::move(bytes));

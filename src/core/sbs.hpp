@@ -146,7 +146,8 @@ private:
   std::map<SignedValue, std::vector<SafeAck>> accepted_;
 };
 
-// Wire helpers shared with GSbS.
+// SbS wire helpers, also used by SbS tests and the multi-org ledger
+// example to forge and replay frames.
 void encode_signed_value(wire::Encoder& enc, const SignedValue& sv);
 [[nodiscard]] SignedValue decode_signed_value(wire::Decoder& dec);
 void encode_safe_ack(wire::Encoder& enc, const SafeAck& ack);

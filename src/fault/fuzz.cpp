@@ -306,7 +306,7 @@ FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
   // Checkpointing: half the schedules run with aggressive intervals
   // (8/16/32 decided elements) so GC and snapshot catch-up see the same
   // fault cocktail as the base protocol; a quarter of those also bench a
-  // laggard that must recover via snapshot + batch proof.
+  // laggard that must recover via a root-checked snapshot.
   if (splitmix64(rng) % 2 == 0) {
     s.checkpoint_interval = std::size_t{8} << (splitmix64(rng) % 3);
     s.laggard = splitmix64(rng) % 4 == 0;

@@ -71,7 +71,8 @@ struct FuzzSchedule {
   std::size_t checkpoint_interval = 0;
   /// Adds a crash window on replica 0 (always correct — adversaries sit
   /// at the top ids) spanning most of the run, so it must catch up from a
-  /// peer snapshot + batch proof rather than replaying full history.
+  /// peer snapshot whose elements re-derive the root, rather than
+  /// replaying full history.
   /// Only meaningful with checkpoint_interval > 0.
   bool laggard = false;
   FaultPlan plan;

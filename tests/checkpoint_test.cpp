@@ -6,7 +6,7 @@
 //    compacted accepted/proposed deltas, live RBC instances — and the
 //    largest RBC frame must stay far from the 16MB cap.
 //  * Laggard: a replica crashed through most of the run catches up from
-//    a peer snapshot + accumulator proof (snapshots_adopted ≥ 1), not by
+//    a root-checked peer snapshot (snapshots_adopted ≥ 1), not by
 //    replaying full history (its peers expired those RBC instances).
 //  * ROADMAP 1b regression: with a test-scaled frame cap, an over-cap
 //    ack broadcast compacts to [checkpoint root]+delta and retries
@@ -197,7 +197,7 @@ TEST(CheckpointLaggard, GwtsCatchesUpFromSnapshot) {
   ASSERT_GE(peer_ck->checkpoints_taken(), 1u);
 
   // The laggard recovered via the snapshot path: it adopted at least one
-  // peer snapshot (vouched root + verified accumulator proof) rather
+  // peer snapshot (vouched root, elements re-deriving it) rather
   // than replaying the full per-round history its peers already expired.
   const checkpoint::CheckpointManager* lag_ck =
       laggard->engine().checkpoints();
@@ -364,9 +364,42 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot replies: a reply for a root that is no longer pending is not a
-// reject; a malformed reply for a pending root still is.
+// Snapshot replies: only the asked peer's reply for a pending root counts.
+// A reply from a peer never asked, or for a root that is no longer pending,
+// is dropped unparsed; a malformed reply from the asked peer is a reject.
 // ---------------------------------------------------------------------------
+
+/// A kCkptSnapshot reply carrying `elems` for `root`, in the frame shape
+/// on_pull serves (`hash_count` is always 0 there).
+wire::Bytes snapshot_reply(const checkpoint::Digest& root,
+                           const std::vector<core::Value>& elems,
+                           std::uint64_t hash_count = 0) {
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(checkpoint::MsgType::kCkptSnapshot));
+  enc.raw(std::span(root.data(), root.size()));
+  enc.u8(1);  // found
+  enc.uvarint(elems.size());
+  enc.uvarint(elems.size());
+  enc.uvarint(hash_count);
+  enc.uvarint(elems.size());
+  for (const core::Value& v : elems) lattice::encode_value(enc, v);
+  return enc.take();
+}
+
+wire::Bytes not_found_reply(const checkpoint::Digest& root) {
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(checkpoint::MsgType::kCkptSnapshot));
+  enc.raw(std::span(root.data(), root.size()));
+  enc.u8(0);
+  return enc.take();
+}
+
+void deliver(checkpoint::CheckpointManager& to, net::NodeId from,
+             const wire::Bytes& frame) {
+  wire::Decoder dec(frame);
+  const std::uint8_t type = dec.u8();
+  EXPECT_TRUE(to.handle(from, type, dec));
+}
 
 TEST(CheckpointSnapshotReplies, LateDuplicateIsDroppedMalformedIsCounted) {
   const auto registry = std::make_shared<obs::Registry>();
@@ -391,12 +424,6 @@ TEST(CheckpointSnapshotReplies, LateDuplicateIsDroppedMalformedIsCounted) {
       laggard_cfg,
       [&](net::NodeId, wire::Bytes b) { to_provider.push_back(std::move(b)); });
 
-  const auto deliver = [](checkpoint::CheckpointManager& to,
-                          net::NodeId from, const wire::Bytes& frame) {
-    wire::Decoder dec(frame);
-    const std::uint8_t type = dec.u8();
-    EXPECT_TRUE(to.handle(from, type, dec));
-  };
   const auto rejects = [&] {
     return node_counter(registry, 0, "checkpoint/snapshot_rejects");
   };
@@ -405,10 +432,22 @@ TEST(CheckpointSnapshotReplies, LateDuplicateIsDroppedMalformedIsCounted) {
   decided.insert(lattice::value_from("a"));
   decided.insert(lattice::value_from("b"));
   ASSERT_TRUE(provider.maybe_checkpoint(decided));
-  laggard.await_root(provider.latest().root, 1, nullptr);
-  ASSERT_EQ(to_provider.size(), 1u);  // the pull
+  const checkpoint::Digest first = provider.latest().root;
+  laggard.await_root(first, 1, nullptr);
+  ASSERT_EQ(to_provider.size(), 1u);  // the pull, to peer 1 only
   deliver(provider, 0, to_provider[0]);
   ASSERT_EQ(to_laggard.size(), 1u);  // the snapshot
+
+  // Peer 3 was never asked: neither its not-found nor its garbage reply
+  // rotates the pull (no second pull leaves) or counts as a reject.
+  deliver(laggard, 3, not_found_reply(first));
+  deliver(laggard, 3,
+          snapshot_reply(first, {lattice::value_from("forged")}));
+  EXPECT_EQ(to_provider.size(), 1u);
+  EXPECT_EQ(rejects(), 0u);
+  EXPECT_EQ(laggard.snapshots_adopted(), 0u);
+
+  // ... nor does it stop the asked peer's valid reply from adopting.
   deliver(laggard, 1, to_laggard[0]);
   ASSERT_EQ(laggard.snapshots_adopted(), 1u);
 
@@ -433,6 +472,86 @@ TEST(CheckpointSnapshotReplies, LateDuplicateIsDroppedMalformedIsCounted) {
   bad.uvarint(0);
   deliver(laggard, 1, bad.take());
   EXPECT_EQ(rejects(), 1u);
+}
+
+// Every mutation of an honest snapshot reply from the asked peer is
+// rejected, counted, not adopted, and rotates the pull to the next peer;
+// that peer's honest reply then adopts.
+TEST(CheckpointSnapshotReplies, MutatedSnapshotsAreRejectedAndRotate) {
+  std::vector<core::Value> honest;
+  for (const char* s : {"a1", "b2", "c3", "d4", "e5"}) {
+    honest.push_back(lattice::value_from(s));
+  }
+  checkpoint::Config provider_cfg;
+  provider_cfg.self = 1;
+  provider_cfg.n = 4;
+  provider_cfg.f = 1;
+  provider_cfg.interval = 1;
+  std::vector<wire::Bytes> served;
+  checkpoint::CheckpointManager provider(
+      provider_cfg,
+      [&](net::NodeId, wire::Bytes b) { served.push_back(std::move(b)); });
+  ASSERT_TRUE(provider.maybe_checkpoint(
+      core::ValueSet::from_sorted(std::vector<core::Value>(honest))));
+  const checkpoint::Digest root = provider.latest().root;
+  // The test's frame builder matches what a provider serves.
+  wire::Encoder pull;
+  pull.u8(static_cast<std::uint8_t>(checkpoint::MsgType::kCkptPull));
+  pull.raw(std::span(root.data(), root.size()));
+  deliver(provider, 0, pull.take());
+  ASSERT_EQ(served, std::vector<wire::Bytes>{snapshot_reply(root, honest)});
+
+  struct Mutation {
+    const char* name;
+    std::vector<core::Value> elems;
+    std::uint64_t hash_count = 0;
+  };
+  std::vector<Mutation> mutations;
+  {
+    Mutation m{"flipped element byte", honest};
+    m.elems[2].back() ^= 0x01;  // "c3" -> "c2": still canonical
+    mutations.push_back(std::move(m));
+  }
+  {
+    Mutation m{"two elements swapped", honest};
+    std::swap(m.elems[1], m.elems[2]);
+    mutations.push_back(std::move(m));
+  }
+  {
+    Mutation m{"one element dropped", honest};
+    m.elems.erase(m.elems.begin() + 2);
+    mutations.push_back(std::move(m));
+  }
+  {
+    Mutation m{"one element added", honest};
+    m.elems.insert(m.elems.begin() + 3, lattice::value_from("c9"));
+    mutations.push_back(std::move(m));
+  }
+  mutations.push_back(Mutation{"hash count 1", honest, 1});
+
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.name);
+    const auto registry = std::make_shared<obs::Registry>();
+    std::vector<net::NodeId> pulled_from;
+    checkpoint::Config cfg = provider_cfg;
+    cfg.self = 0;
+    cfg.registry = registry;
+    cfg.element_known = [](const core::Value&) { return true; };
+    checkpoint::CheckpointManager laggard(
+        cfg, [&](net::NodeId to, wire::Bytes) { pulled_from.push_back(to); });
+    laggard.await_root(root, 1, nullptr);
+    ASSERT_EQ(pulled_from, std::vector<net::NodeId>{1});
+
+    deliver(laggard, 1, snapshot_reply(root, m.elems, m.hash_count));
+    EXPECT_EQ(node_counter(registry, 0, "checkpoint/snapshot_rejects"), 1u);
+    EXPECT_EQ(laggard.snapshots_adopted(), 0u);
+    EXPECT_FALSE(laggard.knows_root(root));
+    EXPECT_EQ(pulled_from, (std::vector<net::NodeId>{1, 2}));
+
+    deliver(laggard, 2, snapshot_reply(root, honest));
+    EXPECT_EQ(laggard.snapshots_adopted(), 1u);
+    EXPECT_TRUE(laggard.knows_root(root));
+  }
 }
 
 }  // namespace
