@@ -7,8 +7,10 @@ namespace bla::core {
 namespace {
 
 constexpr std::size_t kMaxBatchesPerMessage = 1 << 12;
-constexpr std::size_t kMaxProofAcks = 1 << 10;
-constexpr std::size_t kMaxConflicts = 1 << 10;
+/// Untrusted-round ack-reqs parked per sender. Honest senders park a few
+/// per round an acceptor lags; the test suites, table benches and fuzz
+/// schedules peak at 7.
+constexpr std::ptrdiff_t kMaxBufferedPerSender = 64;
 
 // ---------------------------------------------------------------------------
 // Codecs (local to GSbS).
@@ -69,15 +71,9 @@ void encode_batch_safe_ack(wire::Encoder& enc, const BatchSafeAck& ack,
                            const Codec& codec) {
   enc.u32(ack.acceptor);
   enc.u64(ack.round);
-  enc.uvarint(ack.received.size());
-  for (const SignedBatch& sb : ack.received) {
-    encode_signed_batch(enc, sb, codec);
-  }
-  enc.uvarint(ack.conflicts.size());
-  for (const auto& [a, b] : ack.conflicts) {
-    encode_signed_batch(enc, a, codec);
-    encode_signed_batch(enc, b, codec);
-  }
+  encode_ack_lists(enc, ack, [&](wire::Encoder& e, const SignedBatch& sb) {
+    encode_signed_batch(e, sb, codec);
+  });
   enc.bytes(ack.signature);
 }
 
@@ -86,31 +82,23 @@ BatchSafeAck decode_batch_safe_ack(wire::Decoder& dec,
   BatchSafeAck ack;
   ack.acceptor = dec.u32();
   ack.round = dec.u64();
-  const std::uint64_t nr = dec.uvarint();
-  if (nr > kMaxBatchesPerMessage) throw wire::WireError("oversized ack");
-  for (std::uint64_t i = 0; i < nr; ++i) {
-    ack.received.push_back(decode_signed_batch(dec, resolver));
-  }
-  const std::uint64_t nc = dec.uvarint();
-  if (nc > kMaxConflicts) throw wire::WireError("oversized conflicts");
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    SignedBatch a = decode_signed_batch(dec, resolver);
-    SignedBatch b = decode_signed_batch(dec, resolver);
-    ack.conflicts.emplace_back(std::move(a), std::move(b));
-  }
+  decode_ack_lists(dec, ack, kMaxBatchesPerMessage, [&](wire::Decoder& d) {
+    return decode_signed_batch(d, resolver);
+  });
   ack.signature = dec.bytes();
   if (ack.signature.size() > 128) throw wire::WireError("oversized signature");
   return ack;
 }
 
-void encode_proposal(wire::Encoder& enc,
-                     const std::vector<ProvenBatch>& proposal,
+/// `proposal`: a ProposalMap or a vector of ProvenBatch, encoded alike.
+template <class Proposal>
+void encode_proposal(wire::Encoder& enc, const Proposal& proposal,
                      const Codec& codec) {
   enc.uvarint(proposal.size());
-  for (const ProvenBatch& pb : proposal) {
-    encode_signed_batch(enc, pb.sb, codec);
-    enc.uvarint(pb.proof.size());
-    for (const BatchSafeAck& ack : pb.proof) {
+  for (const auto& [sb, proof] : proposal) {
+    encode_signed_batch(enc, sb, codec);
+    enc.uvarint(proof.size());
+    for (const BatchSafeAck& ack : proof) {
       encode_batch_safe_ack(enc, ack, codec);
     }
   }
@@ -124,7 +112,7 @@ std::vector<ProvenBatch> decode_proposal(wire::Decoder& dec,
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     ProvenBatch pb;
-    pb.sb = decode_signed_batch(dec, resolver);
+    pb.item = decode_signed_batch(dec, resolver);
     const std::uint64_t np = dec.uvarint();
     if (np > kMaxProofAcks) throw wire::WireError("oversized proof");
     for (std::uint64_t j = 0; j < np; ++j) {
@@ -177,29 +165,9 @@ DecidedCert decode_cert(wire::Decoder& dec, store::RefResolver& resolver) {
   return cert;
 }
 
-/// Batches a proposer may keep from a round's snapshot: signers with
-/// exactly one distinct batch for that round.
-std::vector<SignedBatch> conflict_free(
-    const std::map<NodeId, std::vector<SignedBatch>>& by_signer) {
-  std::vector<SignedBatch> out;
-  for (const auto& [signer, batches] : by_signer) {
-    if (batches.size() == 1) out.push_back(batches.front());
-  }
-  return out;
-}
-
-void index_batch(std::map<NodeId, std::vector<SignedBatch>>& by_signer,
-                 const SignedBatch& sb) {
-  auto& batches = by_signer[sb.signer];
-  for (const SignedBatch& existing : batches) {
-    if (existing == sb) return;
-  }
-  if (batches.size() < 4) batches.push_back(sb);
-}
-
 ValueSet proposal_union(const std::vector<ProvenBatch>& proposal) {
   ValueSet out;
-  for (const ProvenBatch& pb : proposal) out.merge(pb.sb.batch);
+  for (const ProvenBatch& pb : proposal) out.merge(pb.item.batch);
   return out;
 }
 
@@ -227,7 +195,10 @@ GsbsProcess::GsbsProcess(EngineConfig config,
                                      /*max_auto_rearms=*/4, registry_},
           store_,
           [this](NodeId to, wire::Bytes b) { ctx_->send(to, std::move(b)); })),
-      batch_keys_(*store_) {
+      batch_keys_(*store_),
+      safety_(GsbsRules{signer_.get(), store_.get(), &batch_keys_,
+                        &obs_sig_checks_, &obs_sig_cache_hits_},
+              config_.n, config_.f) {
   const std::string p = "node" + std::to_string(config_.self) + "/gsbs/";
   obs_sig_checks_ = registry_->counter(p + "sig_checks");
   obs_sig_cache_hits_ = registry_->counter(p + "sig_cache_hits");
@@ -255,22 +226,32 @@ crypto::Sha256::Digest BatchKeys::operator()(const SignedBatch& sb) {
   return key;
 }
 
-wire::Bytes GsbsProcess::safe_ack_signing_bytes(
-    const BatchSafeAck& ack) const {
+wire::Bytes GsbsRules::ack_bytes(const BatchSafeAck& ack) const {
   wire::Encoder enc;
   enc.str("gsbs-safe-ack");
   enc.u32(ack.acceptor);
   enc.u64(ack.round);
-  enc.uvarint(ack.received.size());
-  for (const SignedBatch& sb : ack.received) {
-    encode_batch_key(enc, sb, batch_keys_(sb));
-  }
-  enc.uvarint(ack.conflicts.size());
-  for (const auto& [a, b] : ack.conflicts) {
-    encode_batch_key(enc, a, batch_keys_(a));
-    encode_batch_key(enc, b, batch_keys_(b));
-  }
+  encode_ack_lists(enc, ack, [this](wire::Encoder& e, const SignedBatch& sb) {
+    encode_batch_key(e, sb, (*keys)(sb));
+  });
   return enc.take();
+}
+
+bool GsbsRules::check(NodeId signer_id, wire::BytesView message,
+                      wire::BytesView signature) const {
+  // The cumulative proposal re-presents every batch and safe-ack proof on
+  // each ack-req, nack and certificate; the replica's verify-once memo
+  // turns all but the first sighting into a lookup. Signing bytes are
+  // built from content keys, so the memo key hashes ~100 bytes for a
+  // batch and a few hundred for a safe-ack, whatever the bodies weigh.
+  using Verdict = store::BodyStore::Verdict;
+  const Verdict verdict = store->verify(*signer, signer_id, message, signature);
+  if (verdict == Verdict::kCached) {
+    sig_cache_hits->inc();
+    return true;
+  }
+  sig_checks->inc();
+  return verdict == Verdict::kVerified;
 }
 
 wire::Bytes GsbsProcess::ack_signing_bytes(const SignedAck& ack) const {
@@ -299,78 +280,10 @@ crypto::Sha256::Digest GsbsProcess::proposal_digest(
 // Validation.
 // ---------------------------------------------------------------------------
 
-bool GsbsProcess::check_signature(NodeId signer, wire::BytesView message,
-                                  wire::BytesView signature) const {
-  // The cumulative proposal re-presents every batch and safe-ack proof on
-  // each ack-req, nack and certificate; the replica's verify-once memo
-  // turns all but the first sighting into a lookup. Signing bytes are
-  // built from content keys, so the memo key hashes ~100 bytes for a
-  // batch and a few hundred for a safe-ack, whatever the bodies weigh.
-  using Verdict = store::BodyStore::Verdict;
-  const Verdict verdict =
-      store_->verify(*signer_, signer, message, signature);
-  if (verdict == Verdict::kCached) {
-    obs_sig_cache_hits_.inc();
-    return true;
-  }
-  obs_sig_checks_.inc();
-  return verdict == Verdict::kVerified;
-}
-
-bool GsbsProcess::verify_signed_batch(const SignedBatch& sb) const {
-  if (sb.signer >= config_.n) return false;
-  return check_signature(sb.signer, batch_signing_bytes(sb, batch_keys_(sb)),
-                         sb.signature);
-}
-
-bool GsbsProcess::verify_conflict_pair(
-    const std::pair<SignedBatch, SignedBatch>& pair) const {
-  // Conflicts are scoped to one round: an honest proposer signs exactly
-  // one batch per round, and pairs from *different* rounds are the normal
-  // course of the protocol, not equivocation.
-  return pair.first.signer == pair.second.signer &&
-         pair.first.round == pair.second.round &&
-         !(pair.first.batch == pair.second.batch) &&
-         verify_signed_batch(pair.first) && verify_signed_batch(pair.second);
-}
-
-bool GsbsProcess::verify_batch_safe_ack(const BatchSafeAck& ack) const {
-  if (ack.acceptor >= config_.n) return false;
-  if (!check_signature(ack.acceptor, safe_ack_signing_bytes(ack),
-                       ack.signature)) {
-    return false;
-  }
-  return std::all_of(
-      ack.conflicts.begin(), ack.conflicts.end(),
-      [this](const auto& pair) { return verify_conflict_pair(pair); });
-}
-
-bool GsbsProcess::all_safe(const std::vector<ProvenBatch>& batches) const {
-  const std::size_t quorum = byz_quorum(config_.n, config_.f);
-  for (const ProvenBatch& pb : batches) {
-    if (!verify_signed_batch(pb.sb)) return false;
-    if (pb.proof.size() < quorum) return false;
-    std::set<NodeId> senders;
-    for (const BatchSafeAck& ack : pb.proof) {
-      if (ack.round != pb.sb.round) return false;
-      if (!senders.insert(ack.acceptor).second) return false;
-      if (!verify_batch_safe_ack(ack)) return false;
-      const bool contains =
-          std::find(ack.received.begin(), ack.received.end(), pb.sb) !=
-          ack.received.end();
-      if (!contains) return false;
-      for (const auto& [a, b] : ack.conflicts) {
-        if (a == pb.sb || b == pb.sb) return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
-  if (cert.acks.size() < byz_quorum(config_.n, config_.f)) return false;
+  if (cert.acks.size() < safety_.quorum()) return false;
   ProposalMap as_map;
-  for (const ProvenBatch& pb : cert.proposal) as_map.emplace(pb.sb, pb.proof);
+  for (const ProvenBatch& pb : cert.proposal) as_map.emplace(pb.item, pb.proof);
   const crypto::Sha256::Digest digest = proposal_digest(as_map);
   std::set<NodeId> senders;
   for (const SignedAck& ack : cert.acks) {
@@ -378,12 +291,12 @@ bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
     if (!senders.insert(ack.acceptor).second) return false;
     if (ack.round != cert.round || ack.ts != cert.ts) return false;
     if (ack.digest != digest) return false;
-    if (!check_signature(ack.acceptor, ack_signing_bytes(ack),
-                         ack.signature)) {
+    if (!safety_.rules().check(ack.acceptor, ack_signing_bytes(ack),
+                               ack.signature)) {
       return false;
     }
   }
-  return all_safe(cert.proposal);
+  return safety_.all_safe(cert.proposal);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +309,7 @@ void GsbsProcess::on_stall() {
     case State::kInit:
       // batches_[round_] is frozen once the round started (submit()
       // targets round_+1), and receivers dedupe by (signer, round, batch)
-      // in index_batch, so the re-send is idempotent even if the
+      // in index_signed, so the re-send is idempotent even if the
       // signature bytes differ.
       broadcast_init();
       break;
@@ -434,8 +347,8 @@ void GsbsProcess::broadcast_init() {
   sb.signer = config_.self;
   sb.round = round_;
   sb.batch = batches_[round_];
-  sb.signature = signer_->sign(batch_signing_bytes(sb, batch_keys_(sb)));
-  index_batch(init_seen_[round_], sb);
+  sb.signature = signer_->sign(safety_.rules().item_bytes(sb));
+  safety_.index_signed(init_seen_[round_], sb);
 
   // INIT inlines the batch bodies — first contact with the content; the
   // Codec still registers them in the store so every later reference we
@@ -459,7 +372,8 @@ void GsbsProcess::broadcast_safe_req() {
 
 void GsbsProcess::maybe_enter_safetying() {
   if (state_ != State::kInit) return;
-  std::vector<SignedBatch> safety_set = conflict_free(init_seen_[round_]);
+  std::vector<SignedBatch> safety_set =
+      safety_.conflict_free(init_seen_[round_]);
   if (safety_set.size() < disclosure_threshold(config_.n, config_.f)) return;
   state_ = State::kSafetying;
   note_progress();
@@ -471,23 +385,8 @@ void GsbsProcess::maybe_enter_safetying() {
 void GsbsProcess::enter_proposing() {
   state_ = State::kProposing;
   note_progress();
-  std::vector<BatchSafeAck> proof;
-  proof.reserve(safe_acks_.size());
-  for (const auto& [acceptor, ack] : safe_acks_) proof.push_back(ack);
-
-  for (const SignedBatch& sb : safety_snapshot_) {
-    bool conflicted = false;
-    for (const BatchSafeAck& ack : proof) {
-      for (const auto& [a, b] : ack.conflicts) {
-        if (a == sb || b == sb) {
-          conflicted = true;
-          break;
-        }
-      }
-      if (conflicted) break;
-    }
-    if (!conflicted) proposed_.emplace(sb, proof);  // cumulative across rounds
-  }
+  // Cumulative across rounds.
+  safety_.propose_unaccused(safety_snapshot_, safe_acks_, proposed_);
 
   ack_senders_.clear();
   collected_acks_.clear();
@@ -498,10 +397,6 @@ void GsbsProcess::enter_proposing() {
 void GsbsProcess::send_ack_req() {
   registry_->trace_event(config_.self, obs::EventKind::kPropose, round_,
                          proposed_.size());
-  std::vector<ProvenBatch> proposal;
-  proposal.reserve(proposed_.size());
-  for (const auto& [sb, proof] : proposed_) proposal.push_back({sb, proof});
-
   // The proposal is cumulative and every batch drags its quorum of
   // safe-ack proofs along — by far the heaviest GSbS frame. References
   // collapse each repeated batch body to 33 bytes.
@@ -510,7 +405,7 @@ void GsbsProcess::send_ack_req() {
   write_root_ad(enc);
   enc.u64(ts_);
   enc.u64(round_);
-  encode_proposal(enc, proposal, Codec{store_.get(), config_.digest_refs});
+  encode_proposal(enc, proposed_, Codec{store_.get(), config_.digest_refs});
   ctx_->broadcast(enc.take());
 }
 
@@ -555,9 +450,7 @@ void GsbsProcess::adopt_cert(const DecidedCert& cert) {
   for (const Value& v : decided_set_) {
     if (!union_set.contains(v) && !ckpt_.covered_any(v)) return;
   }
-  for (const ProvenBatch& pb : cert.proposal) {
-    proposed_.emplace(pb.sb, pb.proof);
-  }
+  for (const auto& [sb, proof] : cert.proposal) proposed_.emplace(sb, proof);
   decide_and_advance(union_set);
 }
 
@@ -658,8 +551,8 @@ void GsbsProcess::on_init(NodeId from, wire::Decoder& dec,
     return;
   }
   if (sb.signer != from) return;  // INIT commits the *sender's* batch
-  if (!verify_signed_batch(sb)) return;
-  index_batch(init_seen_[sb.round], sb);
+  if (!safety_.verify_item(sb)) return;
+  safety_.index_signed(init_seen_[sb.round], sb);
   if (sb.round == round_) maybe_enter_safetying();
   // §8.2 catch-up: an INIT lagging two or more rounds behind us marks a
   // wedged proposer (stall recovery re-broadcasts INIT; a crashed or
@@ -688,32 +581,20 @@ void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
     park(from, resolver, frame);
     return;
   }
-  const bool ok =
-      std::all_of(set.begin(), set.end(), [&](const SignedBatch& sb) {
-        return sb.round == round && verify_signed_batch(sb);
-      });
-  if (!ok) return;
-
-  auto merged = candidate_seen_[round];
-  for (const SignedBatch& sb : set) index_batch(merged, sb);
+  if (!safety_.all_signed(set, round)) return;
 
   BatchSafeAck ack;
   ack.acceptor = config_.self;
   ack.round = round;
   ack.received = set;
-  for (const auto& [signer, batches] : merged) {
-    if (batches.size() >= 2) {
-      ack.conflicts.emplace_back(batches[0], batches[1]);
-      obs_conflicts_listed_.inc();
-    }
-  }
-  ack.signature = signer_->sign(safe_ack_signing_bytes(ack));
+  ack.conflicts = safety_.return_conflicts(candidate_seen_[round], set);
+  obs_conflicts_listed_.inc(ack.conflicts.size());
+  ack.signature = signer_->sign(safety_.rules().ack_bytes(ack));
 
   wire::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeAck));
   encode_batch_safe_ack(enc, ack, Codec{store_.get(), config_.digest_refs});
   ctx_->send(from, enc.take());
-  candidate_seen_[round] = std::move(merged);
   // §8.2 catch-up, as in on_init: a safe-req lagging two or more rounds
   // behind gets the certificate alongside the safe-ack.
   if (round + 1 < round_) send_cert_if_held(round, from);
@@ -733,11 +614,9 @@ void GsbsProcess::on_safe_ack(NodeId from, wire::Decoder& dec,
   std::vector<SignedBatch> rcvd_sorted = ack.received;
   std::sort(rcvd_sorted.begin(), rcvd_sorted.end());
   if (rcvd_sorted != safety_snapshot_) return;
-  if (!verify_batch_safe_ack(ack)) return;
+  if (!safety_.verify_safe_ack(ack)) return;
   if (safe_acks_.emplace(from, std::move(ack)).second) note_progress();
-  if (safe_acks_.size() >= byz_quorum(config_.n, config_.f)) {
-    enter_proposing();
-  }
+  if (safe_acks_.size() >= safety_.quorum()) enter_proposing();
 }
 
 void GsbsProcess::on_ack_req(NodeId from, wire::Decoder& dec,
@@ -753,26 +632,32 @@ void GsbsProcess::on_ack_req(NodeId from, wire::Decoder& dec,
   }
 
   if (round > safe_r_) {
-    // Round not yet trusted (Lemma 7's gate): park the request. If we
-    // already hold the certificate ending the round the proposer lags
-    // behind on, piggyback it (§8.2).
-    if (buffered_reqs_.size() < (1u << 12)) {
-      buffered_reqs_.push_back({from, std::move(proposal), ts, round});
+    // Round not yet trusted (Lemma 7's gate): park the request. Proposals
+    // are cumulative, so a sender's newest request supersedes its older
+    // ones; at the per-sender cap its oldest entry makes room. A peer
+    // flooding far-future rounds thus crowds out only itself.
+    if (std::ranges::count(buffered_reqs_, from, &BufferedReq::from) >=
+        kMaxBufferedPerSender) {
+      buffered_reqs_.erase(
+          std::ranges::find(buffered_reqs_, from, &BufferedReq::from));
     }
+    buffered_reqs_.push_back({from, std::move(proposal), ts, round});
     return;
   }
-  if (!all_safe(proposal)) return;
+  if (!safety_.all_safe(proposal)) return;
 
-  ProposalMap rcvd;
-  for (ProvenBatch& pb : proposal) {
-    rcvd.emplace(std::move(pb.sb), std::move(pb.proof));
-  }
-
-  const bool is_subset =
-      std::all_of(accepted_.begin(), accepted_.end(),
-                  [&](const auto& kv) { return rcvd.contains(kv.first); });
-  if (is_subset) {
-    accepted_ = rcvd;
+  const bool acked = safety_.accept_or_nack(
+      accepted_, std::move(proposal), [&](const ProposalMap& accepted) {
+        wire::Encoder enc;
+        enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsNack));
+        write_root_ad(enc);
+        enc.u64(ts);
+        enc.u64(round);
+        encode_proposal(enc, accepted,
+                        Codec{store_.get(), config_.digest_refs});
+        ctx_->send(from, enc.take());
+      });
+  if (acked) {
     SignedAck ack;
     ack.acceptor = config_.self;
     ack.digest = proposal_digest(accepted_);
@@ -783,18 +668,6 @@ void GsbsProcess::on_ack_req(NodeId from, wire::Decoder& dec,
     enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsAck));
     encode_signed_ack(enc, ack);
     ctx_->send(from, enc.take());
-  } else {
-    std::vector<ProvenBatch> mine;
-    mine.reserve(accepted_.size());
-    for (const auto& [sb, proof] : accepted_) mine.push_back({sb, proof});
-    wire::Encoder enc;
-    enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsNack));
-    write_root_ad(enc);
-    enc.u64(ts);
-    enc.u64(round);
-    encode_proposal(enc, mine, Codec{store_.get(), config_.digest_refs});
-    ctx_->send(from, enc.take());
-    for (auto& [sb, proof] : rcvd) accepted_.emplace(sb, proof);
   }
 
   // §8.2 piggyback: attach any certificate we hold for this round so a
@@ -817,12 +690,14 @@ void GsbsProcess::on_ack(NodeId from, wire::Decoder& dec) {
   dec.expect_done();
   if (ack.acceptor != from || ack.ts != ts_ || ack.round != round_) return;
   if (ack.digest != proposal_digest(proposed_)) return;
-  if (!check_signature(from, ack_signing_bytes(ack), ack.signature)) return;
+  if (!safety_.rules().check(from, ack_signing_bytes(ack), ack.signature)) {
+    return;
+  }
   if (!ack_senders_.insert(from).second) return;
   note_progress();
   collected_acks_.push_back(std::move(ack));
 
-  if (ack_senders_.size() >= byz_quorum(config_.n, config_.f)) {
+  if (ack_senders_.size() >= safety_.quorum()) {
     DecidedCert cert;
     cert.round = round_;
     cert.ts = ts_;
@@ -847,13 +722,7 @@ void GsbsProcess::on_nack(NodeId from, wire::Decoder& dec,
     return;
   }
   if (ts != ts_ || round != round_) return;
-  const bool grows = std::any_of(
-      proposal.begin(), proposal.end(),
-      [this](const ProvenBatch& pb) { return !proposed_.contains(pb.sb); });
-  if (!grows || !all_safe(proposal)) return;
-  for (ProvenBatch& pb : proposal) {
-    proposed_.emplace(std::move(pb.sb), std::move(pb.proof));
-  }
+  if (!safety_.refine(proposed_, std::move(proposal))) return;
   ack_senders_.clear();
   collected_acks_.clear();
   ts_ += 1;

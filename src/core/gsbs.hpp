@@ -14,9 +14,12 @@
 // This file is our concretization of that sketch. Per round, the value
 // *disclosure* also runs SbS-style (signed batches + conflict-listing
 // safe-acks) instead of Bracha RBC, keeping the whole round at O(f·n)
-// messages per proposer. Equivocation is scoped per round: a conflict is
-// two differently-valued batches signed by the same node *for the same
-// round* (an honest proposer legitimately signs one batch per round).
+// messages per proposer. The Alg. 10 rules are core/signed_safety.hpp,
+// shared with SbS; GsbsRules below is what GSbS adds. Equivocation is
+// scoped per round: a conflict is two differently-valued batches signed
+// by the same node *for the same round* (an honest proposer legitimately
+// signs one batch per round), and a safe-ack vouches only for batches of
+// its own round.
 //
 // The scaffold shared with GWTS — EngineConfig, the decision chain,
 // store / registry / checkpoint plumbing and the stall timer — is
@@ -55,6 +58,7 @@
 #include "checkpoint/checkpoint.hpp"
 #include "core/common.hpp"
 #include "core/engine.hpp"
+#include "core/signed_safety.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "net/process.hpp"
@@ -95,10 +99,7 @@ struct BatchSafeAck {
 };
 
 /// A batch with its proof of safety.
-struct ProvenBatch {
-  SignedBatch sb;
-  std::vector<BatchSafeAck> proof;
-};
+using ProvenBatch = Proven<SignedBatch, BatchSafeAck>;
 
 /// Signed acceptance of a proposal (digest-based).
 struct SignedAck {
@@ -139,6 +140,33 @@ private:
   std::map<SignedBatch, crypto::Sha256::Digest> keys_;
 };
 
+/// GSbS's side of the signed-safety core: round-scoped items and acks,
+/// content-key signing bytes, and signature checks through the store's
+/// verify-once memo.
+struct GsbsRules {
+  using Item = SignedBatch;
+  using Ack = BatchSafeAck;
+
+  const crypto::ISigner* signer = nullptr;
+  store::BodyStore* store = nullptr;
+  BatchKeys* keys = nullptr;
+  const obs::Counter* sig_checks = nullptr;      // memo misses
+  const obs::Counter* sig_cache_hits = nullptr;  // memo answers
+
+  static std::uint64_t round(const SignedBatch& sb) { return sb.round; }
+  static std::uint64_t round(const BatchSafeAck& ack) { return ack.round; }
+  [[nodiscard]] wire::Bytes item_bytes(const SignedBatch& sb) const {
+    return batch_signing_bytes(sb, (*keys)(sb));
+  }
+  /// "gsbs-safe-ack" ‖ u32 acceptor ‖ u64 round ‖ the received and
+  /// conflicting batches as (signer, round, content key).
+  [[nodiscard]] wire::Bytes ack_bytes(const BatchSafeAck& ack) const;
+  /// Every signature check of the engine, counted as a real check or a
+  /// memo hit. `message` is always content-key signing bytes, so short.
+  [[nodiscard]] bool check(NodeId signer_id, wire::BytesView message,
+                           wire::BytesView signature) const;
+};
+
 class GsbsProcess : public EngineBase {
 public:
   GsbsProcess(EngineConfig config,
@@ -151,27 +179,13 @@ public:
 private:
   enum class State { kInit, kSafetying, kProposing, kStopped };
 
-  using ProposalMap = std::map<SignedBatch, std::vector<BatchSafeAck>>;
+  using ProposalMap = ProvenMap<SignedBatch, BatchSafeAck>;
 
-  // -- signing-bytes helpers ------------------------------------------------
-  // All over content keys (see the header note), never value encodings.
-  [[nodiscard]] wire::Bytes safe_ack_signing_bytes(
-      const BatchSafeAck& ack) const;
+  // -- signing bytes and digests, over content keys (see the header
+  // note), never value encodings ----------------------------------------
   [[nodiscard]] wire::Bytes ack_signing_bytes(const SignedAck& ack) const;
   [[nodiscard]] crypto::Sha256::Digest proposal_digest(
       const ProposalMap& proposal) const;
-
-  // -- validation -----------------------------------------------------------
-  /// Every signature check of the engine: through the store's
-  /// verify-once memo, counted as a real check or a memo hit. `message`
-  /// is always content-key signing bytes, so it is short.
-  [[nodiscard]] bool check_signature(NodeId signer, wire::BytesView message,
-                                     wire::BytesView signature) const;
-  [[nodiscard]] bool verify_signed_batch(const SignedBatch& sb) const;
-  [[nodiscard]] bool verify_conflict_pair(
-      const std::pair<SignedBatch, SignedBatch>& pair) const;
-  [[nodiscard]] bool verify_batch_safe_ack(const BatchSafeAck& ack) const;
-  [[nodiscard]] bool all_safe(const std::vector<ProvenBatch>& batches) const;
   [[nodiscard]] bool verify_cert(const DecidedCert& cert) const;
 
   // -- EngineBase hooks ---------------------------------------------------
@@ -249,6 +263,7 @@ private:
   /// accepted or not); memo hits count in obs_sig_cache_hits_.
   obs::Counter obs_sig_checks_;
   obs::Counter obs_sig_cache_hits_;
+  SignedSafety<GsbsRules> safety_;
   /// Equivocation pairs this acceptor signed into its safe-acks.
   obs::Counter obs_conflicts_listed_;
 
@@ -256,8 +271,7 @@ private:
   std::uint64_t ts_ = 0;
 
   // Per-round init collections: signer -> distinct signed batches seen.
-  std::map<std::uint64_t, std::map<NodeId, std::vector<SignedBatch>>>
-      init_seen_;
+  std::map<std::uint64_t, BySigner<SignedBatch>> init_seen_;
   std::vector<SignedBatch> safety_snapshot_;
   std::map<NodeId, BatchSafeAck> safe_acks_;
 
@@ -267,8 +281,7 @@ private:
   std::vector<SignedAck> collected_acks_;
 
   // Acceptor state.
-  std::map<std::uint64_t, std::map<NodeId, std::vector<SignedBatch>>>
-      candidate_seen_;
+  std::map<std::uint64_t, BySigner<SignedBatch>> candidate_seen_;
   ProposalMap accepted_;
   std::uint64_t safe_r_ = 0;
   std::map<std::uint64_t, DecidedCert> certs_;  // well-formed, by round

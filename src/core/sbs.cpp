@@ -6,50 +6,6 @@ namespace bla::core {
 
 namespace {
 
-constexpr std::size_t kMaxProofAcks = 1 << 10;
-constexpr std::size_t kMaxConflicts = 1 << 10;
-
-/// RemoveConflicts over a signer->values view: signers with two or more
-/// distinct values contribute nothing (Alg. 10 lines 6-10).
-std::vector<SignedValue> conflict_free(
-    const std::map<NodeId, std::vector<SignedValue>>& by_signer) {
-  std::vector<SignedValue> out;
-  for (const auto& [signer, values] : by_signer) {
-    if (values.size() == 1) out.push_back(values.front());
-  }
-  return out;
-}
-
-/// Inserts sv into a by-signer index, deduplicating identical values.
-void index_signed_value(std::map<NodeId, std::vector<SignedValue>>& by_signer,
-                        const SignedValue& sv) {
-  auto& values = by_signer[sv.signer];
-  for (const SignedValue& existing : values) {
-    if (existing.value == sv.value) return;
-  }
-  if (values.size() < 4) values.push_back(sv);  // two suffice to prove guilt
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Wire helpers.
-// ---------------------------------------------------------------------------
-
-wire::Bytes signed_value_signing_bytes(const Value& value, NodeId signer) {
-  wire::Encoder enc;
-  enc.str("sbs-value");
-  enc.u32(signer);
-  enc.bytes(value);
-  return enc.take();
-}
-
-void encode_signed_value(wire::Encoder& enc, const SignedValue& sv) {
-  enc.bytes(sv.value);
-  enc.u32(sv.signer);
-  enc.bytes(sv.signature);
-}
-
 SignedValue decode_signed_value(wire::Decoder& dec) {
   SignedValue sv;
   sv.value = lattice::decode_value(dec);
@@ -59,90 +15,41 @@ SignedValue decode_signed_value(wire::Decoder& dec) {
   return sv;
 }
 
-wire::Bytes safe_ack_signing_bytes(const SafeAck& ack) {
-  wire::Encoder enc;
-  enc.str("sbs-safe-ack");
-  enc.u32(ack.acceptor);
-  enc.uvarint(ack.received.size());
-  for (const SignedValue& sv : ack.received) encode_signed_value(enc, sv);
-  enc.uvarint(ack.conflicts.size());
-  for (const auto& [a, b] : ack.conflicts) {
-    encode_signed_value(enc, a);
-    encode_signed_value(enc, b);
-  }
-  return enc.take();
-}
-
-void encode_safe_ack(wire::Encoder& enc, const SafeAck& ack) {
-  enc.u32(ack.acceptor);
-  enc.uvarint(ack.received.size());
-  for (const SignedValue& sv : ack.received) encode_signed_value(enc, sv);
-  enc.uvarint(ack.conflicts.size());
-  for (const auto& [a, b] : ack.conflicts) {
-    encode_signed_value(enc, a);
-    encode_signed_value(enc, b);
-  }
-  enc.bytes(ack.signature);
-}
-
 SafeAck decode_safe_ack(wire::Decoder& dec) {
   SafeAck ack;
   ack.acceptor = dec.u32();
-  const std::uint64_t nr = dec.uvarint();
-  if (nr > lattice::kMaxSetElements) throw wire::WireError("oversized ack");
-  for (std::uint64_t i = 0; i < nr; ++i) {
-    ack.received.push_back(decode_signed_value(dec));
-  }
-  const std::uint64_t nc = dec.uvarint();
-  if (nc > kMaxConflicts) throw wire::WireError("oversized conflicts");
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    SignedValue a = decode_signed_value(dec);
-    SignedValue b = decode_signed_value(dec);
-    ack.conflicts.emplace_back(std::move(a), std::move(b));
-  }
+  decode_ack_lists(dec, ack, lattice::kMaxSetElements, decode_signed_value);
   ack.signature = dec.bytes();
   if (ack.signature.size() > 128) throw wire::WireError("oversized signature");
   return ack;
 }
 
-void encode_proven_values(
-    wire::Encoder& enc,
-    const std::map<SignedValue, std::vector<SafeAck>>& entries) {
+void encode_proven_values(wire::Encoder& enc, const ProvenValues& entries) {
   // Shared ack table: proofs are usually one quorum of acks shared by all
   // of a proposer's values, so indexing keeps messages near O(n²) bytes.
+  // An ack is looked up by (acceptor, echo size) and matched on its
+  // signature; the table precedes the entries that index into it.
   std::vector<const SafeAck*> table;
   std::map<std::pair<NodeId, std::size_t>, std::size_t> table_index;
-  std::vector<std::vector<std::uint64_t>> per_entry_indices;
+  wire::Encoder indexed;
+  indexed.uvarint(entries.size());
   for (const auto& [sv, proof] : entries) {
-    std::vector<std::uint64_t> indices;
+    encode_signed_value(indexed, sv);
+    indexed.uvarint(proof.size());
     for (const SafeAck& ack : proof) {
-      const auto key = std::pair(ack.acceptor, ack.received.size());
-      auto it = table_index.find(key);
-      bool matched = false;
-      if (it != table_index.end() &&
-          table[it->second]->signature == ack.signature) {
-        indices.push_back(it->second);
-        matched = true;
+      auto [it, fresh] = table_index.try_emplace(
+          std::pair(ack.acceptor, ack.received.size()), table.size());
+      if (!fresh && table[it->second]->signature != ack.signature) {
+        it->second = table.size();
+        fresh = true;
       }
-      if (!matched) {
-        table_index[key] = table.size();
-        indices.push_back(table.size());
-        table.push_back(&ack);
-      }
+      if (fresh) table.push_back(&ack);
+      indexed.uvarint(it->second);
     }
-    per_entry_indices.push_back(std::move(indices));
   }
-
   enc.uvarint(table.size());
   for (const SafeAck* ack : table) encode_safe_ack(enc, *ack);
-  enc.uvarint(entries.size());
-  std::size_t i = 0;
-  for (const auto& [sv, proof] : entries) {
-    encode_signed_value(enc, sv);
-    enc.uvarint(per_entry_indices[i].size());
-    for (std::uint64_t idx : per_entry_indices[i]) enc.uvarint(idx);
-    ++i;
-  }
+  enc.raw(indexed.view());
 }
 
 std::vector<ProvenValue> decode_proven_values(wire::Decoder& dec) {
@@ -159,7 +66,7 @@ std::vector<ProvenValue> decode_proven_values(wire::Decoder& dec) {
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     ProvenValue pv;
-    pv.sv = decode_signed_value(dec);
+    pv.item = decode_signed_value(dec);
     const std::uint64_t np = dec.uvarint();
     if (np > kMaxProofAcks) throw wire::WireError("oversized proof");
     for (std::uint64_t j = 0; j < np; ++j) {
@@ -172,68 +79,7 @@ std::vector<ProvenValue> decode_proven_values(wire::Decoder& dec) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// SbsProcess.
-// ---------------------------------------------------------------------------
-
-SbsProcess::SbsProcess(SbsConfig config, Value initial_value,
-                       std::shared_ptr<const crypto::ISigner> signer)
-    : config_(config),
-      initial_value_(std::move(initial_value)),
-      signer_(std::move(signer)) {}
-
-bool SbsProcess::verify_signed_value(const SignedValue& sv) const {
-  if (!lattice::valid_value(sv.value)) return false;
-  if (sv.signer >= config_.n) return false;
-  return signer_->verify(sv.signer,
-                         signed_value_signing_bytes(sv.value, sv.signer),
-                         sv.signature);
-}
-
-bool SbsProcess::verify_conflict_pair(
-    const std::pair<SignedValue, SignedValue>& pair) const {
-  // Alg. 10 VerifyConfPair: both signatures valid, same signer, distinct
-  // values — unforgeable proof the signer equivocated.
-  return pair.first.signer == pair.second.signer &&
-         pair.first.value != pair.second.value &&
-         verify_signed_value(pair.first) && verify_signed_value(pair.second);
-}
-
-bool SbsProcess::verify_safe_ack(const SafeAck& ack) const {
-  if (ack.acceptor >= config_.n) return false;
-  const wire::Bytes bytes = safe_ack_signing_bytes(ack);
-  if (!signer_->verify(ack.acceptor, bytes, ack.signature)) return false;
-  return std::all_of(
-      ack.conflicts.begin(), ack.conflicts.end(),
-      [this](const auto& pair) { return verify_conflict_pair(pair); });
-}
-
-bool SbsProcess::all_safe(const std::vector<ProvenValue>& values) const {
-  // Alg. 10 AllSafe: each value's proof is a quorum of well-formed,
-  // distinct-sender safe-acks that all contain the value and none of
-  // which lists it as conflicted.
-  const std::size_t quorum = byz_quorum(config_.n, config_.f);
-  for (const ProvenValue& pv : values) {
-    if (!verify_signed_value(pv.sv)) return false;
-    if (pv.proof.size() < quorum) return false;
-    std::set<NodeId> senders;
-    for (const SafeAck& ack : pv.proof) {
-      if (!senders.insert(ack.acceptor).second) return false;
-      if (!verify_safe_ack(ack)) return false;
-      const bool contains =
-          std::find(ack.received.begin(), ack.received.end(), pv.sv) !=
-          ack.received.end();
-      if (!contains) return false;
-      for (const auto& [a, b] : ack.conflicts) {
-        if (a == pv.sv || b == pv.sv) return false;
-      }
-    }
-  }
-  return true;
-}
-
-crypto::Sha256::Digest SbsProcess::proposal_digest(
-    const std::map<SignedValue, std::vector<SafeAck>>& entries) const {
+crypto::Sha256::Digest proposal_digest(const ProvenValues& entries) {
   // Digest over the signed values only: two proposals are "the same set"
   // iff they bind the same values to the same authors; proofs are
   // evidence, not content.
@@ -246,6 +92,52 @@ crypto::Sha256::Digest SbsProcess::proposal_digest(
   return crypto::Sha256::hash(std::span(enc.view()));
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Wire helpers and signing bytes.
+// ---------------------------------------------------------------------------
+
+wire::Bytes signed_value_signing_bytes(const Value& value, NodeId signer) {
+  wire::Encoder enc;
+  enc.str("sbs-value");
+  enc.u32(signer);
+  enc.bytes(value);
+  return enc.take();
+}
+
+void encode_signed_value(wire::Encoder& enc, const SignedValue& sv) {
+  enc.bytes(sv.value);
+  enc.u32(sv.signer);
+  enc.bytes(sv.signature);
+}
+
+void encode_safe_ack(wire::Encoder& enc, const SafeAck& ack) {
+  enc.u32(ack.acceptor);
+  encode_ack_lists(enc, ack, encode_signed_value);
+  enc.bytes(ack.signature);
+}
+
+wire::Bytes SbsRules::ack_bytes(const SafeAck& ack) const {
+  // The wire encoding without the signature, under a domain tag.
+  wire::Encoder enc;
+  enc.str("sbs-safe-ack");
+  enc.u32(ack.acceptor);
+  encode_ack_lists(enc, ack, encode_signed_value);
+  return enc.take();
+}
+
+// ---------------------------------------------------------------------------
+// SbsProcess.
+// ---------------------------------------------------------------------------
+
+SbsProcess::SbsProcess(SbsConfig config, Value initial_value,
+                       std::shared_ptr<const crypto::ISigner> signer)
+    : config_(config),
+      initial_value_(std::move(initial_value)),
+      signer_(std::move(signer)),
+      safety_(SbsRules{signer_.get()}, config_.n, config_.f) {}
+
 void SbsProcess::on_start(net::IContext& ctx) {
   // Alg. 8 lines 8-11 (Init phase).
   SignedValue sv;
@@ -253,7 +145,7 @@ void SbsProcess::on_start(net::IContext& ctx) {
   sv.signer = config_.self;
   sv.signature =
       signer_->sign(signed_value_signing_bytes(initial_value_, config_.self));
-  index_signed_value(init_seen_, sv);
+  safety_.index_signed(init_seen_, sv);
 
   wire::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(MsgType::kSbsInit));
@@ -300,16 +192,16 @@ void SbsProcess::on_init(net::IContext& ctx, NodeId from, wire::Decoder& dec) {
   SignedValue sv = decode_signed_value(dec);
   dec.expect_done();
   if (sv.signer != from) return;
-  if (!verify_signed_value(sv)) return;
+  if (!safety_.verify_item(sv)) return;
   if (state_ != State::kInit) return;
-  index_signed_value(init_seen_, sv);
+  safety_.index_signed(init_seen_, sv);
   maybe_enter_safetying(ctx);
 }
 
 void SbsProcess::maybe_enter_safetying(net::IContext& ctx) {
   // Alg. 8 lines 16-18.
   if (state_ != State::kInit) return;
-  std::vector<SignedValue> safety_set = conflict_free(init_seen_);
+  std::vector<SignedValue> safety_set = safety_.conflict_free(init_seen_);
   if (safety_set.size() < disclosure_threshold(config_.n, config_.f)) return;
   state_ = State::kSafetying;
   std::sort(safety_set.begin(), safety_set.end());
@@ -333,35 +225,18 @@ void SbsProcess::on_safe_req(net::IContext& ctx, NodeId from,
     set.push_back(decode_signed_value(dec));
   }
   dec.expect_done();
-  if (!std::all_of(set.begin(), set.end(), [this](const SignedValue& sv) {
-        return verify_signed_value(sv);
-      })) {
-    return;
-  }
-
-  // ReturnConflicts(set ∪ SafeCandidates): merge into a scratch index and
-  // emit one provable pair per equivocating signer.
-  std::map<NodeId, std::vector<SignedValue>> merged = candidate_seen_;
-  for (const SignedValue& sv : set) index_signed_value(merged, sv);
+  if (!safety_.all_signed(set, /*round=*/0)) return;
 
   SafeAck ack;
   ack.acceptor = config_.self;
   ack.received = set;
-  for (const auto& [signer, values] : merged) {
-    if (values.size() >= 2) {
-      ack.conflicts.emplace_back(values[0], values[1]);
-    }
-  }
-  ack.signature = signer_->sign(safe_ack_signing_bytes(ack));
+  ack.conflicts = safety_.return_conflicts(candidate_seen_, set);
+  ack.signature = signer_->sign(safety_.rules().ack_bytes(ack));
 
   wire::Encoder enc;
   enc.u8(static_cast<std::uint8_t>(MsgType::kSbsSafeAck));
   encode_safe_ack(enc, ack);
   ctx.send(from, enc.take());
-
-  // SafeCandidates ∪= RemoveConflicts(set ∪ SafeCandidates): we keep the
-  // full by-signer index; conflicted signers simply never re-qualify.
-  candidate_seen_ = std::move(merged);
 }
 
 void SbsProcess::on_safe_ack(net::IContext& ctx, NodeId from,
@@ -374,37 +249,17 @@ void SbsProcess::on_safe_ack(net::IContext& ctx, NodeId from,
     byz_.insert(from);
     return;
   }
-  if (ack.received != safety_snapshot_ || !verify_safe_ack(ack)) {
+  if (ack.received != safety_snapshot_ || !safety_.verify_safe_ack(ack)) {
     byz_.insert(from);
     return;
   }
   safe_acks_.emplace(from, std::move(ack));
-  if (safe_acks_.size() >= byz_quorum(config_.n, config_.f)) {
-    enter_proposing(ctx);
-  }
+  if (safe_acks_.size() >= safety_.quorum()) enter_proposing(ctx);
 }
 
 void SbsProcess::enter_proposing(net::IContext& ctx) {
-  // Alg. 8 lines 25-31: keep every snapshot value no collected ack
-  // accuses of conflict; attach the collected acks as its proof.
   state_ = State::kProposing;
-  std::vector<SafeAck> proof;
-  proof.reserve(safe_acks_.size());
-  for (const auto& [acceptor, ack] : safe_acks_) proof.push_back(ack);
-
-  for (const SignedValue& sv : safety_snapshot_) {
-    bool conflicted = false;
-    for (const SafeAck& ack : proof) {
-      for (const auto& [a, b] : ack.conflicts) {
-        if (a == sv || b == sv) {
-          conflicted = true;
-          break;
-        }
-      }
-      if (conflicted) break;
-    }
-    if (!conflicted) proposed_.emplace(sv, proof);
-  }
+  safety_.propose_unaccused(safety_snapshot_, safe_acks_, proposed_);
 
   ack_set_.clear();
   ts_ += 1;
@@ -425,34 +280,23 @@ void SbsProcess::on_ack_req(net::IContext& ctx, NodeId from,
   std::vector<ProvenValue> received = decode_proven_values(dec);
   const std::uint64_t req_ts = dec.u64();
   dec.expect_done();
-  if (!all_safe(received)) return;
+  if (!safety_.all_safe(received)) return;
 
-  std::map<SignedValue, std::vector<SafeAck>> rcvd;
-  for (ProvenValue& pv : received) {
-    rcvd.emplace(std::move(pv.sv), std::move(pv.proof));
-  }
-
-  const bool is_subset =
-      std::all_of(accepted_.begin(), accepted_.end(),
-                  [&](const auto& kv) { return rcvd.contains(kv.first); });
-  if (is_subset) {
-    accepted_ = rcvd;
-    wire::Encoder enc;
-    enc.u8(static_cast<std::uint8_t>(MsgType::kSbsAck));
-    const auto digest = proposal_digest(accepted_);
-    enc.bytes(std::span(digest.data(), digest.size()));
-    enc.u64(req_ts);
-    ctx.send(from, enc.take());
-  } else {
-    wire::Encoder enc;
-    enc.u8(static_cast<std::uint8_t>(MsgType::kSbsNack));
-    encode_proven_values(enc, accepted_);
-    enc.u64(req_ts);
-    ctx.send(from, enc.take());
-    for (auto& [sv, proof] : rcvd) {
-      accepted_.emplace(std::move(sv), std::move(proof));
-    }
-  }
+  const bool acked = safety_.accept_or_nack(
+      accepted_, std::move(received), [&](const ProvenValues& mine) {
+        wire::Encoder enc;
+        enc.u8(static_cast<std::uint8_t>(MsgType::kSbsNack));
+        encode_proven_values(enc, mine);
+        enc.u64(req_ts);
+        ctx.send(from, enc.take());
+      });
+  if (!acked) return;
+  wire::Encoder enc;
+  enc.u8(static_cast<std::uint8_t>(MsgType::kSbsAck));
+  const auto digest = proposal_digest(accepted_);
+  enc.bytes(std::span(digest.data(), digest.size()));
+  enc.u64(req_ts);
+  ctx.send(from, enc.take());
 }
 
 void SbsProcess::on_ack(net::IContext& ctx, NodeId from, wire::Decoder& dec) {
@@ -463,16 +307,13 @@ void SbsProcess::on_ack(net::IContext& ctx, NodeId from, wire::Decoder& dec) {
   dec.expect_done();
   if (rts != ts_) return;
 
-  const auto expected = proposal_digest(proposed_);
-  const bool matches = digest.size() == expected.size() &&
-                       std::equal(digest.begin(), digest.end(),
-                                  expected.begin());
-  if (!matches || byz_.contains(from)) {
+  if (!std::ranges::equal(digest, proposal_digest(proposed_)) ||
+      byz_.contains(from)) {
     byz_.insert(from);
     return;
   }
   ack_set_.insert(from);
-  if (ack_set_.size() >= byz_quorum(config_.n, config_.f)) {
+  if (ack_set_.size() >= safety_.quorum()) {
     // Alg. 8 lines 47-50: decide the values, stripped of proofs.
     state_ = State::kDecided;
     ValueSet only_values;
@@ -490,15 +331,9 @@ void SbsProcess::on_nack(net::IContext& ctx, NodeId from, wire::Decoder& dec) {
   dec.expect_done();
   if (rts != ts_) return;
 
-  const bool grows = std::any_of(
-      received.begin(), received.end(),
-      [this](const ProvenValue& pv) { return !proposed_.contains(pv.sv); });
-  if (!grows || byz_.contains(from) || !all_safe(received)) {
+  if (byz_.contains(from) || !safety_.refine(proposed_, std::move(received))) {
     byz_.insert(from);
     return;
-  }
-  for (ProvenValue& pv : received) {
-    proposed_.emplace(std::move(pv.sv), std::move(pv.proof));
   }
   ack_set_.clear();
   ts_ += 1;

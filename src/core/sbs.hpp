@@ -11,14 +11,16 @@
 //                 collects n−f mutually conflict-free signed values.
 //  * Safetying  — the collected set is sent to the acceptors, which answer
 //                 with *signed* safe-acks listing any conflicts (two
-//                 different values signed by the same key). A value with
-//                 ⌊(n+f)/2⌋+1 conflict-free safe-acks is provably safe:
-//                 no different value from the same signer can ever gather
-//                 its own quorum (Lemma 13 — quorum intersection).
+//                 different values signed by the same key).
 //  * Proposing  — WTS's deciding phase, except every value travels with
 //                 its proof of safety and both roles refuse unproven
 //                 values. Refinements ≤ 2f (Lemma 16); decision within
 //                 5+4f message delays (Theorem 8).
+//
+// The Alg. 10 proof-of-safety rules (conflict removal, conflict pairs,
+// AllSafe; Lemma 13's quorum intersection) are core/signed_safety.hpp,
+// shared with GSbS. SbsRules below is what SbS adds: its signing bytes,
+// a plain signature check, and one round for everything.
 
 #include <cstdint>
 #include <map>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "core/common.hpp"
+#include "core/signed_safety.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "net/process.hpp"
@@ -61,11 +64,31 @@ struct SafeAck {
   wire::Bytes signature;
 };
 
-/// A value plus its proof of safety (indices into a shared ack table keep
-/// the encoding near the paper's O(n²) bound when proofs are shared).
-struct ProvenValue {
-  SignedValue sv;
-  std::vector<SafeAck> proof;
+/// Canonical bytes a proposer signs for a SignedValue.
+[[nodiscard]] wire::Bytes signed_value_signing_bytes(const Value& value,
+                                                     NodeId signer);
+
+/// A value plus its proof of safety.
+using ProvenValue = Proven<SignedValue, SafeAck>;
+using ProvenValues = ProvenMap<SignedValue, SafeAck>;
+
+/// SbS's side of the signed-safety core: one-shot, so every item and ack
+/// is in round 0, and signatures are checked directly by the signer.
+struct SbsRules {
+  using Item = SignedValue;
+  using Ack = SafeAck;
+
+  const crypto::ISigner* signer = nullptr;
+
+  static std::uint64_t round(const auto& /*item or ack*/) { return 0; }
+  [[nodiscard]] wire::Bytes item_bytes(const SignedValue& sv) const {
+    return signed_value_signing_bytes(sv.value, sv.signer);
+  }
+  [[nodiscard]] wire::Bytes ack_bytes(const SafeAck& ack) const;
+  [[nodiscard]] bool check(NodeId signer_id, wire::BytesView message,
+                           wire::BytesView signature) const {
+    return signer->verify(signer_id, message, signature);
+  }
 };
 
 struct SbsConfig {
@@ -110,30 +133,21 @@ private:
   void on_safe_req(net::IContext& ctx, NodeId from, wire::Decoder& dec);
   void on_ack_req(net::IContext& ctx, NodeId from, wire::Decoder& dec);
 
-  // Validation helpers (Alg. 10).
-  [[nodiscard]] bool verify_signed_value(const SignedValue& sv) const;
-  [[nodiscard]] bool verify_conflict_pair(
-      const std::pair<SignedValue, SignedValue>& pair) const;
-  [[nodiscard]] bool verify_safe_ack(const SafeAck& ack) const;
-  [[nodiscard]] bool all_safe(const std::vector<ProvenValue>& values) const;
-  [[nodiscard]] crypto::Sha256::Digest proposal_digest(
-      const std::map<SignedValue, std::vector<SafeAck>>& entries) const;
-
   SbsConfig config_;
   Value initial_value_;
   std::shared_ptr<const crypto::ISigner> signer_;
+  SignedSafety<SbsRules> safety_;
   State state_ = State::kInit;
 
-  // Init phase: everything seen, grouped by signer, so conflicts are
-  // removable (RemoveConflicts) and detectable (ReturnConflicts).
-  std::map<NodeId, std::vector<SignedValue>> init_seen_;
+  // Init phase: everything seen, grouped by signer.
+  BySigner<SignedValue> init_seen_;
   std::vector<SignedValue> safety_snapshot_;  // frozen when leaving kInit
 
   // Safetying phase.
   std::map<NodeId, SafeAck> safe_acks_;
 
   // Proposing phase: value -> proof.
-  std::map<SignedValue, std::vector<SafeAck>> proposed_;
+  ProvenValues proposed_;
   std::uint64_t ts_ = 0;
   std::set<NodeId> ack_set_;
   std::set<NodeId> byz_;
@@ -142,24 +156,13 @@ private:
   std::size_t refinements_ = 0;
 
   // Acceptor state.
-  std::map<NodeId, std::vector<SignedValue>> candidate_seen_;  // SafeCandidates
-  std::map<SignedValue, std::vector<SafeAck>> accepted_;
+  BySigner<SignedValue> candidate_seen_;  // SafeCandidates
+  ProvenValues accepted_;
 };
 
 // SbS wire helpers, also used by SbS tests and the multi-org ledger
-// example to forge and replay frames.
+// example to forge frames.
 void encode_signed_value(wire::Encoder& enc, const SignedValue& sv);
-[[nodiscard]] SignedValue decode_signed_value(wire::Decoder& dec);
 void encode_safe_ack(wire::Encoder& enc, const SafeAck& ack);
-[[nodiscard]] SafeAck decode_safe_ack(wire::Decoder& dec);
-/// Canonical bytes an acceptor signs for a SafeAck.
-[[nodiscard]] wire::Bytes safe_ack_signing_bytes(const SafeAck& ack);
-/// Canonical bytes a proposer signs for a SignedValue.
-[[nodiscard]] wire::Bytes signed_value_signing_bytes(const Value& value,
-                                                     NodeId signer);
-void encode_proven_values(
-    wire::Encoder& enc,
-    const std::map<SignedValue, std::vector<SafeAck>>& entries);
-[[nodiscard]] std::vector<ProvenValue> decode_proven_values(wire::Decoder& dec);
 
 }  // namespace bla::core

@@ -364,6 +364,133 @@ TEST(Gsbs, AsynchronousDelays) {
   check_gla_properties(fx, 1, 2, 4);
 }
 
+/// A Byzantine replica's cheapest way at an acceptor's buffer of
+/// untrusted-round ack-reqs: `count` empty proposals for round 2^62, sent
+/// at t = 0 to each of `targets`. The round is never trusted, so only the
+/// buffer's own bound limits what they hold.
+class AckReqFlooder final : public net::IProcess {
+public:
+  AckReqFlooder(std::vector<net::NodeId> targets, int count)
+      : targets_(std::move(targets)), count_(count) {}
+
+  void on_start(net::IContext& ctx) override {
+    wire::Encoder enc;
+    enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsAckReq));
+    enc.u8(0);                        // no checkpoint-root advertisement
+    enc.u64(1);                       // ts
+    enc.u64(std::uint64_t{1} << 62);  // round
+    enc.uvarint(0);                   // empty proposal
+    const wire::Bytes frame = enc.take();
+    for (int i = 0; i < count_; ++i) {
+      for (const net::NodeId to : targets_) ctx.send(to, frame);
+    }
+  }
+  void on_message(net::IContext&, NodeId, wire::BytesView) override {}
+
+private:
+  std::vector<net::NodeId> targets_;
+  int count_;
+};
+
+TEST(Gsbs, FarFutureAckReqFloodLeavesEveryValueDecided) {
+  // More untrusted-round ack-reqs than one buffer for all senders held
+  // (4 096) reach every correct replica at t = 0; recovery is off, so a
+  // request the buffer refused would never be re-sent.
+  constexpr std::uint64_t kRounds = 6;
+  GsbsFixture fx(
+      4, 1, kRounds, 5,
+      [](net::NodeId) {
+        return std::make_unique<AckReqFlooder>(
+            std::vector<net::NodeId>{0, 1, 2}, 4200);
+      },
+      std::make_unique<net::ExponentialDelay>(1.0));
+  fx.net.run();
+  check_gla_properties(fx, 1, kRounds, kRounds + 2);
+}
+
+TEST(Gsbs, HonestAckReqParkedBehindAFloodIsStillAnswered) {
+  // With n - f correct replicas in lock-step, an honest ack-req for a
+  // round its acceptor does not trust yet needs a schedule that delivers
+  // it before every certificate ending the previous round. Record real
+  // frames from a clean run, then replay exactly that schedule to a fresh
+  // acceptor whose buffer a flood reached first.
+  class Recorder final : public net::IProcess {
+  public:
+    void on_start(net::IContext&) override {}
+    void on_message(net::IContext&, NodeId from,
+                    wire::BytesView payload) override {
+      frames.emplace_back(from, wire::Bytes(payload.begin(), payload.end()));
+    }
+    std::vector<std::pair<NodeId, wire::Bytes>> frames;
+  };
+  Recorder* recorder = nullptr;
+  GsbsFixture clean(4, 1, 2, 1, [&](net::NodeId) {
+    auto r = std::make_unique<Recorder>();
+    recorder = r.get();
+    return r;
+  });
+  clean.net.run();
+
+  // Node 1's round-1 ack-req ([type][ad flag 0][ts][round]...) and a
+  // certificate ending round 0 ([type][round]...).
+  auto round_at = [](const wire::Bytes& frame, std::size_t offset) {
+    wire::Decoder dec(wire::BytesView(frame).subspan(offset));
+    return dec.u64();
+  };
+  std::optional<wire::Bytes> ack_req;
+  std::optional<wire::Bytes> cert;
+  for (const auto& [from, frame] : recorder->frames) {
+    const auto type = static_cast<MsgType>(frame[0]);
+    if (from == 1 && type == MsgType::kGsbsAckReq && frame[1] == 0 &&
+        round_at(frame, 10) == 1 && !ack_req) {
+      ack_req = frame;
+    }
+    if (type == MsgType::kGsbsDecided && round_at(frame, 1) == 0 && !cert) {
+      cert = frame;
+    }
+  }
+  ASSERT_TRUE(ack_req && cert);
+
+  // Node 1 replays its request at t = 5, after the flood (t = 1), and the
+  // certificate at t = 10, when the acceptor may trust round 1.
+  class Replayer final : public net::IProcess {
+  public:
+    Replayer(wire::Bytes ack_req, wire::Bytes cert)
+        : ack_req_(std::move(ack_req)), cert_(std::move(cert)) {}
+    void on_start(net::IContext& ctx) override {
+      ctx.schedule(4.0, 0);
+      ctx.schedule(9.0, 1);
+    }
+    void on_timer(net::IContext& ctx, std::uint64_t token) override {
+      ctx.send(0, token == 0 ? ack_req_ : cert_);
+    }
+    void on_message(net::IContext&, NodeId from,
+                    wire::BytesView payload) override {
+      const auto type = static_cast<MsgType>(payload[0]);
+      if (from == 0 &&
+          (type == MsgType::kGsbsAck || type == MsgType::kGsbsNack)) {
+        answered = true;
+      }
+    }
+    bool answered = false;
+
+  private:
+    wire::Bytes ack_req_;
+    wire::Bytes cert_;
+  };
+  net::SimNetwork net({.seed = 1, .delay = nullptr});
+  net.add_process(std::make_unique<GsbsProcess>(EngineConfig{0, 4, 1, 4},
+                                                clean.signers->signer_for(0)));
+  auto replayer = std::make_unique<Replayer>(*ack_req, *cert);
+  const Replayer* node1 = replayer.get();
+  net.add_process(std::move(replayer));
+  net.add_process(std::make_unique<SilentProcess>());
+  net.add_process(
+      std::make_unique<AckReqFlooder>(std::vector<net::NodeId>{0}, 4200));
+  net.run();
+  EXPECT_TRUE(node1->answered);
+}
+
 // ---------------------------------------------------------------------------
 // Verify-once: the cumulative proposal re-presents every batch and proof
 // on each ack-req, nack and certificate; the body store's memo must answer
