@@ -266,12 +266,20 @@ wire::Bytes GsbsProcess::ack_signing_bytes(const SignedAck& ack) const {
 
 crypto::Sha256::Digest GsbsProcess::proposal_digest(
     const ProposalMap& proposal) const {
+  std::vector<const SignedBatch*> batches;
+  batches.reserve(proposal.size());
+  for (const auto& [sb, proof] : proposal) batches.push_back(&sb);
+  return proposal_digest(batches);
+}
+
+crypto::Sha256::Digest GsbsProcess::proposal_digest(
+    std::span<const SignedBatch* const> batches) const {
   // Digest over the (signer, round, batch) triples — the content a
   // quorum accepts; proofs and signature bytes are evidence.
   wire::Encoder enc;
-  enc.uvarint(proposal.size());
-  for (const auto& [sb, proof] : proposal) {
-    encode_batch_key(enc, sb, batch_keys_(sb));
+  enc.uvarint(batches.size());
+  for (const SignedBatch* sb : batches) {
+    encode_batch_key(enc, *sb, batch_keys_(*sb));
   }
   return crypto::Sha256::hash(std::span(enc.view()));
 }
@@ -282,9 +290,21 @@ crypto::Sha256::Digest GsbsProcess::proposal_digest(
 
 bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
   if (cert.acks.size() < safety_.quorum()) return false;
-  ProposalMap as_map;
-  for (const ProvenBatch& pb : cert.proposal) as_map.emplace(pb.item, pb.proof);
-  const crypto::Sha256::Digest digest = proposal_digest(as_map);
+  // The digest needs only the batches in ProposalMap order (sorted,
+  // deduplicated) — not a copy of the proposal with its proofs.
+  std::vector<const SignedBatch*> batches;
+  batches.reserve(cert.proposal.size());
+  for (const ProvenBatch& pb : cert.proposal) batches.push_back(&pb.item);
+  const auto less = [](const SignedBatch* a, const SignedBatch* b) {
+    return *a < *b;
+  };
+  std::sort(batches.begin(), batches.end(), less);
+  batches.erase(std::unique(batches.begin(), batches.end(),
+                            [](const SignedBatch* a, const SignedBatch* b) {
+                              return *a == *b;
+                            }),
+                batches.end());
+  const crypto::Sha256::Digest digest = proposal_digest(batches);
   std::set<NodeId> senders;
   for (const SignedAck& ack : cert.acks) {
     if (ack.acceptor >= config_.n) return false;

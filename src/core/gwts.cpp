@@ -34,6 +34,7 @@ GwtsProcess::GwtsProcess(EngineConfig config, DecideFn on_decide,
   obs_broadcast_rejected_ =
       registry_->counter(p + "broadcast_rejected", /*warning=*/true);
   obs_compact_retries_ = registry_->counter(p + "compact_retries");
+  obs_commits_ = registry_->counter(p + "commits");
   obs_accepted_delta_ = registry_->gauge(p + "accepted_delta");
   obs_proposed_delta_ = registry_->gauge(p + "proposed_delta");
 }
@@ -48,8 +49,8 @@ void GwtsProcess::on_stall() {
   // pulls, and probe for instances we never heard of at all (partition /
   // crash windows). Then re-send the current phase frame. Both are
   // idempotent at receivers: a repeated SEND is ignored by echoed
-  // instances, and a repeated ack-req is answered from the acceptor's
-  // dedup/re-ack path.
+  // instances, and a repeated ack-req re-publishes the acceptor's ack
+  // (bounded by max_reacks) — the repeat is what marks ours as lost.
   rbc_.retry_undelivered();
   retry_pulls();
   probe_missed_instances();
@@ -389,9 +390,13 @@ void GwtsProcess::on_broadcast_ack(NodeId acceptor, std::uint64_t seq,
 void GwtsProcess::record_ack(NodeId acceptor, const AckKey& key) {
   // Alg. 3 lines 34-36 + Alg. 4 lines 14-16: the ack joins the (shared)
   // history; quorum appearances commit the proposal.
+  // A re-delivered ack (a re-publication under a fresh tag) adds no
+  // supporter and must not commit the key again.
   auto& supporters = ack_history_[key];
-  if (supporters.insert(acceptor).second) note_progress();
+  if (!supporters.insert(acceptor).second) return;
+  note_progress();
   if (supporters.size() == byz_quorum(config_.n, config_.f)) {
+    obs_commits_.inc();
     committed_by_round_[key.round].push_back(key);
     rounds_with_commit_.insert(key.round);
     record_committed(key.set_elems);
@@ -517,24 +522,26 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
     accepted_set_ = delta_of(msg.set);
     obs_accepted_delta_.set(accepted_set_.size());
     // Publish the acceptance — but only once per (set, round): a second
-    // identical RBC would add no information (the first already reached
-    // everyone) and would blow the §6.4 message bound.
+    // identical RBC would add no information (Bracha Totality hands the
+    // first to every correct proposer, whoever asked) and would blow the
+    // §6.4 message bound. A first ask from another proposer is answered
+    // by the broadcast already out.
     AckKey key{msg.set.elements(), msg.round};
-    const bool fresh = ack_broadcasts_done_.insert(key).second;
+    auto [it, fresh] = acks_published_.try_emplace(std::move(key));
+    AckPublished& published = it->second;
+    const bool repeat = !published.askers.insert(msg.from).second;
     bool rebroadcast = fresh;
-    if (!fresh && config_.recovery.enabled) {
-      // A repeated ack-req for a set we already published means the
-      // asker (or its RBC instance) lost the ack. Re-publish under a
-      // fresh tag — the old instance may be wedged mid-quorum — bounded
-      // per key so a Byzantine pester can't mint unbounded RBCs.
-      auto& count = reack_counts_[key];
-      if (count < config_.recovery.max_reacks) {
-        ++count;
-        obs_retries_.inc();
-        registry_->trace_event(config_.self, obs::EventKind::kEngineRetry,
-                               msg.round, msg.from);
-        rebroadcast = true;
-      }
+    if (repeat && config_.recovery.enabled &&
+        published.reacks < config_.recovery.max_reacks) {
+      // The same asker asking again is its stall re-send: it (or its RBC
+      // instance) lost the ack. Re-publish under a fresh tag — the old
+      // instance may be wedged mid-quorum — bounded per key so a
+      // Byzantine pester can't mint unbounded RBCs.
+      ++published.reacks;
+      obs_retries_.inc();
+      registry_->trace_event(config_.self, obs::EventKind::kEngineRetry,
+                             msg.round, msg.from);
+      rebroadcast = true;
     }
     if (rebroadcast) {
       bool sent = broadcast_ack(msg.round);
@@ -548,10 +555,10 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
         if (sent) obs_compact_retries_.inc();
       }
       if (!sent) {
-        // Still over the cap. Un-record the dedup key so a later,
+        // Still over the cap. Un-record the key so a later,
         // post-checkpoint ack-req can retry instead of being silently
         // suppressed forever.
-        ack_broadcasts_done_.erase(key);
+        acks_published_.erase(it);
         ++obs_broadcast_rejected_;
         registry_->trace_event(config_.self,
                                obs::EventKind::kWarnBroadcastRejected,
@@ -648,13 +655,8 @@ void GwtsProcess::compact_state(bool covered_idle) {
   }
   committed_by_round_.erase(committed_by_round_.begin(),
                             committed_by_round_.lower_bound(ckpt_round_));
-  for (auto it = ack_broadcasts_done_.begin();
-       it != ack_broadcasts_done_.end();) {
-    it = it->round < ckpt_round_ ? ack_broadcasts_done_.erase(it)
-                                 : std::next(it);
-  }
-  for (auto it = reack_counts_.begin(); it != reack_counts_.end();) {
-    it = it->first.round < ckpt_round_ ? reack_counts_.erase(it)
+  for (auto it = acks_published_.begin(); it != acks_published_.end();) {
+    it = it->first.round < ckpt_round_ ? acks_published_.erase(it)
                                        : std::next(it);
   }
   batches_.erase(batches_.begin(), batches_.lower_bound(round_));

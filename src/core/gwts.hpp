@@ -70,14 +70,22 @@ private:
   // from the tally key only *coarsens* the grouping — a quorum for
   // (set, round) is still ⌊(n+f)/2⌋+1 distinct acceptors that accepted
   // `set` in round `round`, so the Lemma 1 intersection argument is
-  // untouched, while acceptors gain the right to skip re-broadcasting an
-  // ack for a set they already published (see handle_ack_req). That
-  // dedup is what keeps the §6.4 O(f·n²)-per-proposer bound: without it,
-  // n acceptors × n proposers × O(n²) RBC frames = O(n⁴) per round.
+  // untouched, while acceptors gain the right to publish one ack per
+  // (set, round) whoever asks: Bracha Totality already hands it to every
+  // correct proposer. That dedup is what keeps the §6.4
+  // O(f·n²)-per-proposer bound: without it, n acceptors × n proposers ×
+  // O(n²) RBC frames = O(n⁴) per round. Only a repeat from the same
+  // asker re-publishes (see handle_ack_req).
   struct AckKey {
     std::vector<Value> set_elems;  // canonical (sorted) elements
     std::uint64_t round = 0;
     auto operator<=>(const AckKey&) const = default;
+  };
+
+  /// Acceptor-side record of one published ack (see handle_ack_req).
+  struct AckPublished {
+    std::set<NodeId> askers;  // proposers whose ack-req it answered
+    std::size_t reacks = 0;   // fresh-tag re-publications spent
   };
 
   struct PendingPoint {  // buffered point-to-point ack_req / nack
@@ -139,7 +147,13 @@ private:
   /// checkpoint GC can expire contiguous delivered prefixes.
   void on_broadcast_ack(NodeId acceptor, std::uint64_t seq,
                         wire::Bytes payload);
+  /// Tallies a delivered ack; the quorum-th distinct acceptor commits
+  /// the key (a duplicate changes nothing).
   void record_ack(NodeId acceptor, const AckKey& key);
+  /// Alg. 4 accept-or-nack. An accepted (set, round) is published once;
+  /// with recovery on, a repeated ack-req from an asker it already
+  /// answered re-publishes it under a fresh tag, at most max_reacks
+  /// times per key.
   void handle_ack_req(const PendingPoint& msg);
   void handle_nack(const PendingPoint& msg);
   void drain_waiting();
@@ -173,6 +187,7 @@ private:
   obs::Counter obs_broadcast_rejected_;  // warning: RBC refused our frame
   obs::Counter obs_compact_retries_;  // over-cap frames rescued by a
                                       // forced checkpoint + re-encode
+  obs::Counter obs_commits_;  // (set, round) keys that reached a quorum
   obs::Gauge obs_accepted_delta_;  // acceptor delta cardinality
   obs::Gauge obs_proposed_delta_;  // proposer delta cardinality
 
@@ -199,10 +214,9 @@ private:
   ValueSet accepted_set_;  // DELTA vs own checkpoint (see expand())
   std::uint64_t safe_r_ = 0;
   std::uint64_t ack_tag_counter_ = 0;
-  std::set<AckKey> ack_broadcasts_done_;
+  std::map<AckKey, AckPublished> acks_published_;
 
   // Recovery state (unused unless config_.recovery.enabled).
-  std::map<AckKey, std::size_t> reack_counts_;
   // Discovery-probe bookkeeping (probe_missed_instances): the highest
   // round observed in any peer frame, the highest ack-tag counter seen
   // delivered per origin, and a monotone per-origin probe cursor over

@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+
 #include "core/adversary.hpp"
 #include "core/gwts.hpp"
 #include "net/delay_model.hpp"
+#include "net/sim_network.hpp"
+#include "obs/registry.hpp"
+#include "rbc/bracha.hpp"
 #include "testutil/properties.hpp"
 #include "testutil/scenario.hpp"
 
@@ -238,6 +245,218 @@ TEST(Gwts, LateSubmissionLandsInLaterRound) {
   // The late value is decided by its submitter (Inclusivity).
   EXPECT_TRUE(
       procs[1]->decisions().back().set.contains(lattice::value_from("late")));
+}
+
+// ---------------------------------------------------------------------------
+// Ack publication under recovery: one ack broadcast per (set, round) per
+// acceptor; only an asker that repeats its own ack-req draws a re-ack.
+// ---------------------------------------------------------------------------
+
+// GwtsProcess's ack-broadcast tag space (its private kAckTagBase): an
+// acceptor's k-th ack broadcast is the RBC instance kAckTag | k.
+constexpr std::uint64_t kAckTag = std::uint64_t{1} << 62;
+
+/// Delivers every frame to `inner` except the Bracha SEND / ECHO / READY
+/// / vote-request frames of one RBC instance (origin, tag): that node's
+/// copy of the broadcast is lost for good, retries included.
+class DropInstance final : public net::IProcess {
+public:
+  DropInstance(std::unique_ptr<net::IProcess> inner, NodeId origin,
+               std::uint64_t tag)
+      : inner_(std::move(inner)), origin_(origin), tag_(tag) {}
+
+  void on_start(net::IContext& ctx) override { inner_->on_start(ctx); }
+  void on_timer(net::IContext& ctx, std::uint64_t token) override {
+    inner_->on_timer(ctx, token);
+  }
+  void on_message(net::IContext& ctx, NodeId from,
+                  wire::BytesView payload) override {
+    if (matches(from, payload)) {
+      ++dropped_;
+      return;
+    }
+    inner_->on_message(ctx, from, payload);
+  }
+  [[nodiscard]] std::size_t dropped() const { return dropped_; }
+
+private:
+  [[nodiscard]] bool matches(NodeId from, wire::BytesView payload) const {
+    try {
+      wire::Decoder dec(payload);
+      switch (static_cast<rbc::MsgType>(dec.u8())) {
+        case rbc::MsgType::kSend:
+          return from == origin_ && dec.u64() == tag_;
+        case rbc::MsgType::kEcho:
+        case rbc::MsgType::kReady:
+        case rbc::MsgType::kVoteReq: {
+          const NodeId origin = dec.u32();
+          return origin == origin_ && dec.u64() == tag_;
+        }
+        default:
+          return false;
+      }
+    } catch (const wire::WireError&) {
+      return false;
+    }
+  }
+
+  std::unique_ptr<net::IProcess> inner_;
+  NodeId origin_;
+  std::uint64_t tag_;
+  std::size_t dropped_ = 0;
+};
+
+/// Byzantine asker: re-sends every ack-req it receives, verbatim and
+/// under its own identity, `repeats` times to every node — the same
+/// (set, round) asked again and again by one proposer.
+class RepeatingAsker final : public net::IProcess {
+public:
+  explicit RepeatingAsker(std::size_t repeats) : repeats_(repeats) {}
+  void on_start(net::IContext&) override {}
+  void on_message(net::IContext& ctx, NodeId from,
+                  wire::BytesView payload) override {
+    if (from == ctx.self() || payload.empty() ||
+        payload[0] != static_cast<std::uint8_t>(MsgType::kAckReq)) {
+      return;
+    }
+    for (std::size_t i = 0; i < repeats_; ++i) {
+      ctx.broadcast(wire::Bytes(payload.begin(), payload.end()));
+    }
+  }
+
+private:
+  std::size_t repeats_;
+};
+
+/// n GWTS replicas with recovery on, one value each per run, all sharing
+/// `registry`; `byzantine(id)` supplies the process for the last f slots
+/// (nullptr: silent) and `wrap` may decorate a correct one.
+struct RecoveryRun {
+  std::size_t n = 4;
+  std::size_t f = 1;
+  std::uint64_t rounds = 3;
+  std::size_t max_reacks = RecoveryConfig{}.max_reacks;
+  std::function<std::unique_ptr<net::IProcess>(NodeId)> byzantine;
+  std::function<std::unique_ptr<net::IProcess>(
+      NodeId, std::unique_ptr<net::IProcess>)>
+      wrap;
+
+  std::shared_ptr<obs::Registry> registry = std::make_shared<obs::Registry>();
+  std::unique_ptr<net::SimNetwork> network;
+  std::vector<GwtsProcess*> correct;
+
+  void run() {
+    network = std::make_unique<net::SimNetwork>(net::SimNetwork::Config{});
+    for (NodeId id = 0; id < n; ++id) {
+      if (id >= n - f) {
+        auto byz = byzantine ? byzantine(id) : nullptr;
+        network->add_process(byz ? std::move(byz)
+                                 : std::make_unique<SilentProcess>());
+        continue;
+      }
+      EngineConfig config;
+      config.self = id;
+      config.n = n;
+      config.f = f;
+      config.max_rounds = rounds;
+      config.registry = registry;
+      config.recovery.enabled = true;
+      config.recovery.max_reacks = max_reacks;
+      auto proc = std::make_unique<GwtsProcess>(config);
+      proc->submit(lattice::value_from("v" + std::to_string(id)));
+      correct.push_back(proc.get());
+      std::unique_ptr<net::IProcess> hosted = std::move(proc);
+      if (wrap) hosted = wrap(id, std::move(hosted));
+      network->add_process(std::move(hosted));
+    }
+    constexpr std::uint64_t kEventCap = 10'000'000;
+    ASSERT_LT(network->run(kEventCap), kEventCap);
+  }
+
+  [[nodiscard]] std::uint64_t counter(NodeId id, const char* name) const {
+    return registry
+        ->counter("node" + std::to_string(id) + "/gwts/" + name)
+        .value();
+  }
+};
+
+TEST(GwtsRecovery, ConvergedProposersPublishOneAckPerKey) {
+  // Loss-free links with recovery on: the five correct proposers propose
+  // the same set each round, so every acceptor is asked for one key by
+  // five proposers. The first ask publishes the ack; the other four are
+  // answered by it (Bracha Totality), so no acceptor re-acks and the
+  // message count is that of one ack broadcast per acceptor per round.
+  RecoveryRun run;
+  run.n = 7;
+  run.f = 2;
+  run.rounds = 4;
+  run.run();
+  ASSERT_EQ(run.correct.size(), 5u);
+  for (NodeId id = 0; id < 5; ++id) {
+    EXPECT_EQ(run.correct[id]->current_round(), run.rounds) << "node " << id;
+    EXPECT_EQ(run.counter(id, "retries"), 0u) << "node " << id;
+    // One (set, round) key per round, committed once.
+    EXPECT_EQ(run.counter(id, "commits"), run.rounds) << "node " << id;
+  }
+  EXPECT_EQ(run.network->total_messages(), 3220u);
+}
+
+TEST(GwtsRecovery, LostAckIsRepublishedOnTheAskersRepeat) {
+  // Node 0 never sees acceptor 1's first ack broadcast (round 0's), and
+  // with node 3 silent it needs that ack for a quorum. Its stall re-send
+  // of the same ack-req is a repeat from an asker acceptor 1 already
+  // answered, which re-publishes the ack under a fresh tag.
+  DropInstance* filter = nullptr;
+  RecoveryRun run;
+  run.wrap = [&](NodeId id, std::unique_ptr<net::IProcess> proc)
+      -> std::unique_ptr<net::IProcess> {
+    if (id != 0) return proc;
+    auto wrapped = std::make_unique<DropInstance>(std::move(proc),
+                                                  /*origin=*/1, kAckTag);
+    filter = wrapped.get();
+    return wrapped;
+  };
+  run.run();
+  ASSERT_NE(filter, nullptr);
+  EXPECT_GT(filter->dropped(), 0u);
+  EXPECT_GE(run.counter(1, "retries"), 1u);
+  for (const GwtsProcess* proc : run.correct) {
+    EXPECT_EQ(proc->current_round(), run.rounds);
+    ASSERT_FALSE(proc->decisions().empty());
+    EXPECT_TRUE(proc->decisions().back().set.contains(
+        lattice::value_from("v0")));
+  }
+}
+
+TEST(GwtsRecovery, RepeatingAskerDrawsAtMostMaxReacks) {
+  // A Byzantine proposer repeats every ack-req it sees 20 times. Each
+  // repeat is from an asker already answered, but the per-key budget
+  // caps what it buys: at most max_reacks re-acks per acceptor per key.
+  constexpr std::size_t kMaxReacks = 3;
+  RecoveryRun run;
+  run.rounds = 1;
+  run.max_reacks = kMaxReacks;
+  run.byzantine = [](NodeId) { return std::make_unique<RepeatingAsker>(20); };
+  run.run();
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(run.correct[id]->current_round(), 1u);
+    EXPECT_EQ(run.counter(id, "retries"), kMaxReacks) << "node " << id;
+  }
+}
+
+TEST(GwtsRecovery, RedeliveredAcksCommitOncePerKey) {
+  // The repeating asker makes every acceptor re-publish each ack after
+  // the quorum formed, so every replica tallies duplicate acks for an
+  // already committed key. A duplicate adds no supporter: each
+  // (set, round) is committed once per replica.
+  RecoveryRun run;
+  run.byzantine = [](NodeId) { return std::make_unique<RepeatingAsker>(4); };
+  run.run();
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(run.correct[id]->current_round(), run.rounds);
+    EXPECT_GT(run.counter(id, "retries"), 0u) << "node " << id;
+    EXPECT_EQ(run.counter(id, "commits"), run.rounds) << "node " << id;
+  }
 }
 
 }  // namespace
