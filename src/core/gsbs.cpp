@@ -1,6 +1,7 @@
 #include "core/gsbs.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 namespace bla::core {
 
@@ -31,6 +32,17 @@ void encode_batch_key(wire::Encoder& enc, const SignedBatch& sb,
   enc.u32(sb.signer);
   enc.u64(sb.round);
   enc.raw(std::span(key.data(), key.size()));
+}
+
+/// Digest over the (signer, round, batch) triples of `batches`, given in
+/// ProposalMap order (sorted, deduplicated) — the content a quorum
+/// accepts; proofs and signature bytes are evidence.
+template <std::ranges::sized_range Batches>
+crypto::Sha256::Digest batches_digest(Batches&& batches, BatchKeys& keys) {
+  wire::Encoder enc;
+  enc.uvarint(std::ranges::size(batches));
+  for (const SignedBatch& sb : batches) encode_batch_key(enc, sb, keys(sb));
+  return crypto::Sha256::hash(std::span(enc.view()));
 }
 
 /// Transport-encode context: where referenced bodies are registered and
@@ -266,22 +278,7 @@ wire::Bytes GsbsProcess::ack_signing_bytes(const SignedAck& ack) const {
 
 crypto::Sha256::Digest GsbsProcess::proposal_digest(
     const ProposalMap& proposal) const {
-  std::vector<const SignedBatch*> batches;
-  batches.reserve(proposal.size());
-  for (const auto& [sb, proof] : proposal) batches.push_back(&sb);
-  return proposal_digest(batches);
-}
-
-crypto::Sha256::Digest GsbsProcess::proposal_digest(
-    std::span<const SignedBatch* const> batches) const {
-  // Digest over the (signer, round, batch) triples — the content a
-  // quorum accepts; proofs and signature bytes are evidence.
-  wire::Encoder enc;
-  enc.uvarint(batches.size());
-  for (const SignedBatch* sb : batches) {
-    encode_batch_key(enc, *sb, batch_keys_(*sb));
-  }
-  return crypto::Sha256::hash(std::span(enc.view()));
+  return batches_digest(proposal | std::views::keys, batch_keys_);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,21 +287,20 @@ crypto::Sha256::Digest GsbsProcess::proposal_digest(
 
 bool GsbsProcess::verify_cert(const DecidedCert& cert) const {
   if (cert.acks.size() < safety_.quorum()) return false;
-  // The digest needs only the batches in ProposalMap order (sorted,
-  // deduplicated) — not a copy of the proposal with its proofs.
-  std::vector<const SignedBatch*> batches;
-  batches.reserve(cert.proposal.size());
-  for (const ProvenBatch& pb : cert.proposal) batches.push_back(&pb.item);
-  const auto less = [](const SignedBatch* a, const SignedBatch* b) {
+  // The digest needs only the batches in ProposalMap order — sorted and
+  // deduplicated under the map's ordering — not a copy of the proposal
+  // with its proofs.
+  const auto by_value = [](const SignedBatch* a, const SignedBatch* b) {
     return *a < *b;
   };
-  std::sort(batches.begin(), batches.end(), less);
-  batches.erase(std::unique(batches.begin(), batches.end(),
-                            [](const SignedBatch* a, const SignedBatch* b) {
-                              return *a == *b;
-                            }),
-                batches.end());
-  const crypto::Sha256::Digest digest = proposal_digest(batches);
+  std::set<const SignedBatch*, decltype(by_value)> batches;
+  for (const ProvenBatch& pb : cert.proposal) batches.insert(&pb.item);
+  const crypto::Sha256::Digest digest = batches_digest(
+      batches | std::views::transform(
+                    [](const SignedBatch* sb) -> const SignedBatch& {
+                      return *sb;
+                    }),
+      batch_keys_);
   std::set<NodeId> senders;
   for (const SignedAck& ack : cert.acks) {
     if (ack.acceptor >= config_.n) return false;

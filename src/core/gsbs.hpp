@@ -53,7 +53,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "checkpoint/checkpoint.hpp"
@@ -187,9 +186,6 @@ private:
   [[nodiscard]] wire::Bytes ack_signing_bytes(const SignedAck& ack) const;
   [[nodiscard]] crypto::Sha256::Digest proposal_digest(
       const ProposalMap& proposal) const;
-  /// `batches` in ProposalMap order: sorted and deduplicated.
-  [[nodiscard]] crypto::Sha256::Digest proposal_digest(
-      std::span<const SignedBatch* const> batches) const;
   [[nodiscard]] bool verify_cert(const DecidedCert& cert) const;
 
   // -- EngineBase hooks ---------------------------------------------------

@@ -555,10 +555,12 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
         if (sent) obs_compact_retries_.inc();
       }
       if (!sent) {
-        // Still over the cap. Un-record the key so a later,
+        // Still over the cap. Un-record a first publication so a later,
         // post-checkpoint ack-req can retry instead of being silently
-        // suppressed forever.
-        acks_published_.erase(it);
+        // suppressed forever; a refused re-ack keeps the record and its
+        // spent budget. By key: the compaction above may have pruned
+        // the record `it` points to (its round is below round_).
+        if (fresh) acks_published_.erase(AckKey{msg.set.elements(), msg.round});
         ++obs_broadcast_rejected_;
         registry_->trace_event(config_.self,
                                obs::EventKind::kWarnBroadcastRejected,

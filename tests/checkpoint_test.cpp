@@ -11,6 +11,8 @@
 //  * ROADMAP 1b regression: with a test-scaled frame cap, an over-cap
 //    ack broadcast compacts to [checkpoint root]+delta and retries
 //    instead of dropping (compact_retries > 0, no rejected broadcasts).
+//    When even the compacted ack is over the cap, the refusal for an
+//    old-round ack-req un-records the ack safely (run under ASan).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,8 @@
 #include "core/gwts.hpp"
 #include "net/sim_network.hpp"
 #include "obs/registry.hpp"
+#include "rbc/bracha.hpp"
+#include "store/ref.hpp"
 #include "testutil/batch_scenario.hpp"
 #include "testutil/properties.hpp"
 
@@ -359,6 +363,135 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
   }
   for (const auto& chain : chains) {
     EXPECT_EQ(testutil::check_local_stability(chain), "");
+  }
+  EXPECT_EQ(testutil::check_gla_comparability(chains), "");
+}
+
+/// Byzantine node that stays silent until acceptor 0 asks for a round
+/// ≥ `trigger`, then reliably discloses one large value under each of the
+/// already finished round tags 2 and 3 and asks node 0 alone to ack, for
+/// round 3, the honest values plus both large ones. The ack-req parks
+/// until both disclosures deliver at node 0, so it is handled while node
+/// 0 is rounds ahead of it.
+class LateDiscloser final : public net::IProcess {
+public:
+  LateDiscloser(std::size_t cap, std::uint64_t trigger,
+                core::ValueSet honest, std::vector<core::Value> large)
+      : cap_(cap), trigger_(trigger), honest_(std::move(honest)),
+        large_(std::move(large)) {}
+
+  void on_start(net::IContext& ctx) override {
+    rbc::BrachaRbc::Config rc;
+    rc.self = ctx.self();
+    rc.n = ctx.node_count();
+    rc.f = 1;
+    rc.max_payload_bytes = cap_;
+    // The context lives for one event; the RBC only sends from inside
+    // on_message, so it reaches the current one through ctx_.
+    rbc_ = std::make_unique<rbc::BrachaRbc>(
+        rc,
+        [this](net::NodeId to, wire::Bytes p) {
+          ctx_->send(to, std::move(p));
+        },
+        [](net::NodeId, std::uint64_t, wire::Bytes) {});
+  }
+
+  void on_message(net::IContext& ctx, net::NodeId from,
+                  wire::BytesView payload) override {
+    constexpr auto kAckReq = static_cast<std::uint8_t>(core::MsgType::kAckReq);
+    if (sent_ || from != 0 || payload.size() < 9 || payload[0] != kAckReq) {
+      return;
+    }
+    // An ack-req ends with its round.
+    wire::Decoder tail(payload.subspan(payload.size() - 8));
+    if (tail.u64() < trigger_) return;
+    sent_ = true;
+    ctx_ = &ctx;
+    core::ValueSet asked = honest_;
+    for (std::size_t i = 0; i < large_.size(); ++i) {
+      const std::uint64_t round = 2 + i;
+      wire::Encoder enc;
+      enc.u8(static_cast<std::uint8_t>(core::MsgType::kDisclosure));
+      store::encode_value_set_ref(enc, core::ValueSet{large_[i]}, nullptr,
+                                  /*refs=*/false);
+      enc.u64(round);
+      ASSERT_TRUE(rbc_->broadcast(round, enc.view()));
+      asked.insert(large_[i]);
+    }
+    wire::Encoder enc;
+    enc.u8(kAckReq);
+    enc.u8(0);  // no checkpoint root
+    store::encode_value_set_ref(enc, asked, nullptr, /*refs=*/false);
+    enc.u64(1);  // ts
+    enc.u64(2 + large_.size() - 1);
+    ctx.send(0, enc.take());
+  }
+
+  [[nodiscard]] bool sent() const { return sent_; }
+
+private:
+  std::size_t cap_;
+  std::uint64_t trigger_;
+  core::ValueSet honest_;
+  std::vector<core::Value> large_;
+  std::unique_ptr<rbc::BrachaRbc> rbc_;
+  net::IContext* ctx_ = nullptr;
+  bool sent_ = false;
+};
+
+TEST(CheckpointCompactRetry, AckStillOverCapAfterCompactIsUnrecorded) {
+  // Two large values overflow the ack frame even after a forced
+  // checkpoint, which covers only decided values. The over-cap ack is
+  // for round 3, asked while node 0 is at round ≥ 5, so the forced
+  // checkpoint's compaction (ckpt_round_ = round_) prunes the ack record
+  // that the refused retry then un-records. That path must find the
+  // record by key, not through a pruned iterator (ASan would flag it).
+  constexpr std::size_t kN = 4;
+  constexpr std::size_t kF = 1;
+  constexpr std::size_t kCap = 4096;
+  constexpr std::uint64_t kTrigger = 5;
+  const auto registry = std::make_shared<obs::Registry>();
+
+  net::SimNetwork net{net::SimNetwork::Config{}};
+  core::ValueSet honest;
+  std::vector<core::GwtsProcess*> procs;
+  for (net::NodeId id = 0; id + kF < kN; ++id) {
+    core::EngineConfig gc;
+    gc.self = id;
+    gc.n = kN;
+    gc.f = kF;
+    gc.max_rounds = 2 * kTrigger;
+    gc.digest_refs = false;
+    gc.checkpoint_interval = 100'000;  // only forced checkpoints
+    gc.registry = registry;
+    auto p = std::make_unique<core::GwtsProcess>(
+        gc, nullptr, /*store=*/nullptr, /*max_payload_bytes=*/kCap);
+    const core::Value v = lattice::value_from("v" + std::to_string(id));
+    p->submit(v);
+    honest.insert(v);
+    procs.push_back(p.get());
+    net.add_process(std::move(p));
+  }
+  std::vector<core::Value> large;
+  for (const char fill : {'a', 'b'}) {
+    large.push_back(core::Value(kCap / 2, static_cast<std::uint8_t>(fill)));
+  }
+  auto byz = std::make_unique<LateDiscloser>(kCap, kTrigger, honest, large);
+  const LateDiscloser* discloser = byz.get();
+  net.add_process(std::move(byz));
+  net.run(10'000'000);
+
+  ASSERT_TRUE(discloser->sent());
+  // Node 0 forced a checkpoint for the over-cap ack and was still
+  // refused: the path under test ran.
+  EXPECT_GE(node_counter(registry, 0, "checkpoint/forced"), 1u);
+  EXPECT_GE(node_counter(registry, 0, "gwts/broadcast_rejected"), 1u);
+  EXPECT_EQ(node_counter(registry, 0, "gwts/compact_retries"), 0u);
+
+  std::vector<std::vector<core::Decision>> chains;
+  for (core::GwtsProcess* p : procs) {
+    EXPECT_GE(p->decisions().size(), 1u);
+    chains.push_back(p->decisions());
   }
   EXPECT_EQ(testutil::check_gla_comparability(chains), "");
 }
