@@ -31,12 +31,24 @@ Result run_gsbs(std::size_t n, std::size_t f, std::uint64_t rounds) {
       net.add_process(std::make_unique<core::SilentProcess>());
       continue;
     }
+    // One value per round, the next one submitted from the decide
+    // callback (as GwtsScenario feeds GWTS): rounds start on demand, so
+    // every round the table counts must carry one.
+    const auto value = [id](std::uint64_t round) {
+      wire::Encoder v;
+      v.str("t8");
+      v.u32(id);
+      v.u64(round);
+      return v.take();
+    };
+    auto holder = std::make_shared<core::GsbsProcess*>(nullptr);
     auto proc = std::make_unique<core::GsbsProcess>(
-        core::EngineConfig{id, n, f, rounds}, signers->signer_for(id));
-    wire::Encoder v;
-    v.str("t8");
-    v.u32(id);
-    proc->submit(v.take());
+        core::EngineConfig{id, n, f, rounds}, signers->signer_for(id),
+        [holder, value, rounds](const core::Decision& d) {
+          if (d.round + 1 < rounds) (*holder)->submit(value(d.round + 1));
+        });
+    *holder = proc.get();
+    proc->submit(value(0));
     correct.push_back(proc.get());
     net.add_process(std::move(proc));
   }

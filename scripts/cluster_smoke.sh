@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Loopback cluster smoke: 4 replicad processes + loadgen, then the
-# crash drill — kill -9 one replica mid-cluster, assert the survivors
+# Loopback cluster smoke: 4 replicad processes left idle for 30 s, which
+# must cost each under 0.3 s of CPU (rounds start only on demand) and
+# leave the cluster able to commit a late client's commands within 1 s;
+# then loadgen, then the crash drill — kill -9 one replica mid-cluster,
+# assert the survivors
 # keep committing, restart it, and assert (a) new commands confirm and
 # (b) the rejoiner's obs dump proves checkpoint catch-up ran
 # (node<id>/checkpoint/snapshots_adopted > 0). Finally SIGTERM everyone
@@ -54,6 +57,30 @@ echo "== starting 4 replicas ($ENGINE, $KEY_SCHEME;" \
   "ports $PORT_BASE..$((PORT_BASE + 3)))"
 for i in 0 1 2 3; do start_replica "$i"; done
 sleep 1
+
+cpu_ticks() { # pid -> utime + stime so far, in clock ticks
+  local stat
+  stat=$(< "/proc/$1/stat")
+  read -r -a fields <<< "${stat##*) }"  # fields[0] is stat field 3
+  echo $((fields[11] + fields[12]))
+}
+
+echo "== phase 0: idle for 30 s, then a late client"
+declare -a IDLE_TICKS=()
+for i in 0 1 2 3; do IDLE_TICKS[$i]=$(cpu_ticks "${PIDS[$i]}"); done
+sleep 30
+TCK=$(getconf CLK_TCK)
+for i in 0 1 2 3; do
+  used=$(($(cpu_ticks "${PIDS[$i]}") - IDLE_TICKS[i]))
+  echo "   replica $i: $(awk -v t="$used" -v hz="$TCK" \
+    'BEGIN { printf "%.2f", t / hz }') s of CPU while idle"
+  if ((used * 10 >= 3 * TCK)); then
+    echo "cluster_smoke: FAIL — idle replica $i used 0.3 s of CPU or" \
+      "more in 30 s" >&2
+    exit 1
+  fi
+done
+"$LOADGEN" --config "$CONF" --commands 100 --timeout 1 --id-base 6 --json
 
 echo "== phase 1: baseline load (2 clients x 500 commands)"
 "$LOADGEN" --config "$CONF" --commands 500 --clients 2 --timeout 60 --json

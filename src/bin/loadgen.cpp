@@ -199,6 +199,10 @@ int main(int argc, char** argv) {
   std::uint64_t dropped = 0;
   std::uint64_t failed = 0;
   std::uint64_t submitted = 0;
+  // Confirmed by the decide quorum, not merely sent and not yet failed: a
+  // client that timed out with batches still in flight committed none of
+  // them.
+  std::uint64_t committed = 0;
   for (auto& rig : rigs) {
     // call() runs on the loop thread: pipeline()/builder() are not
     // atomic.
@@ -206,11 +210,11 @@ int main(int argc, char** argv) {
       dropped += rig.client->commands_dropped();
       failed += rig.client->pipeline().commands_failed();
       submitted += rig.client->commands_submitted();
+      committed += rig.client->pipeline().commands_completed();
     });
   }
   for (auto& rig : rigs) rig.net->stop();
 
-  const std::uint64_t committed = submitted - dropped - failed;
   const double throughput = wall > 0.0 ? committed / wall : 0.0;
   const auto lat =
       registry->histogram("latency/seal_to_confirm").snapshot();

@@ -46,15 +46,19 @@ static_assert(max_faulty(10) == 3);
 /// Opt-in recovery for lossy links (the src/fault injection layer and
 /// the socket runtime: replicad, SocketCluster and the fuzzer's socket
 /// schedules all turn it on). When enabled, an engine arms a periodic
-/// timer and, after `stall_after` time units without protocol progress,
-/// re-sends its current phase frame, runs Bracha vote-request
-/// anti-entropy, and re-arms dormant body fetches. Default
-/// OFF: on the reliable in-process runtimes recovery is pure overhead,
-/// and resilience tests deliberately run *to quiescence* with no
-/// decision — an always-re-arming timer would keep the simulator alive
-/// forever. Recovery never changes what may be decided (every re-send
-/// is idempotent at receivers); it only re-offers lost frames, so §3's
-/// reliable-link safety arguments are untouched.
+/// timer while something is pending (a started round, or an idle engine
+/// that f+1 peers show to be behind) and, after `stall_after` time
+/// units without protocol progress, re-sends its current phase frame or
+/// joins the round it idles at, runs Bracha vote-request anti-entropy,
+/// and re-arms dormant body fetches. An idle engine is healthy: its
+/// timer stops, so a simulation still quiesces. Default OFF: on the
+/// reliable in-process runtimes recovery is pure overhead, and
+/// resilience tests deliberately run *to quiescence* with no decision —
+/// a timer re-arming while a wedged round stays open would keep the
+/// simulator alive until max_resends. Recovery never changes what may
+/// be decided (every re-send is idempotent at receivers); it only
+/// re-offers lost frames, so §3's reliable-link safety arguments are
+/// untouched.
 struct RecoveryConfig {
   bool enabled = false;
   /// Timer period (time units of the hosting runtime's now()).

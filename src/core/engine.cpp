@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/gsbs.hpp"
@@ -30,51 +31,52 @@ EngineBase::EngineBase(EngineConfig config, DecideFn on_decide,
   obs_decisions_ = registry_->counter(p + "decisions");
   obs_refinements_ = registry_->counter(p + "refinements");
   obs_retries_ = registry_->counter(p + "retries");
+  peer_rounds_.assign(config_.n, 0);
 }
 
-void EngineBase::submit(Value value) {
-  const std::uint64_t target = started_ ? round_ + 1 : 0;
-  batches_[target].insert(std::move(value));
+void EngineBase::submit(Value value, net::IContext* ctx) {
+  batches_[idle() ? round_ : round_ + 1].insert(std::move(value));
+  // Inside the engine's own upcalls the epilogue applies the start rule.
+  if (ctx_ != nullptr || ctx == nullptr) return;
+  ctx_ = ctx;
+  settle();
+  ctx_ = nullptr;
 }
 
 void EngineBase::on_start(net::IContext& ctx) {
   ctx_ = &ctx;
-  started_ = true;
-  if (config_.recovery.enabled) {
-    last_progress_ = ctx.now();
-    last_round_change_ = ctx.now();
-    ctx.schedule(config_.recovery.tick, 0);
-  }
-  start_round();
+  last_round_change_ = ctx.now();
+  settle();
   ctx_ = nullptr;
 }
 
 void EngineBase::on_message(net::IContext& ctx, NodeId from,
                             wire::BytesView payload) {
   ctx_ = &ctx;
+  bool consumed = true;
   try {
     wire::Decoder dec(payload);
     const std::uint8_t type = dec.u8();
     // Deliveries, parked replays, fetch traffic and adoption upcalls all
     // run inside these handlers with ctx_ set.
-    if (handle_layer_frame(from, type, dec) || ckpt_.handle(from, type, dec)) {
-      ctx_ = nullptr;
-      return;
-    }
+    consumed =
+        handle_layer_frame(from, type, dec) || ckpt_.handle(from, type, dec);
   } catch (const wire::WireError&) {
-    ctx_ = nullptr;
-    return;  // empty/truncated frame: Byzantine; drop
+    // empty/truncated frame: Byzantine; drop
   }
-  handle_frame(from, payload);
+  if (!consumed) handle_frame(from, payload);
+  settle();
   ctx_ = nullptr;
 }
 
 void EngineBase::on_timer(net::IContext& ctx, std::uint64_t /*token*/) {
+  timer_armed_ = false;
   // The chain ends once stopped (a stopped engine serves acceptors
-  // message-driven) or once the retry budget is spent on a permanently
-  // wedged run — either way the simulation can quiesce.
+  // message-driven), once the retry budget is spent on a permanently
+  // wedged run, or once nothing is pending — so the simulation can
+  // quiesce.
   if (!config_.recovery.enabled || rounds_exhausted() ||
-      resends_ >= config_.recovery.max_resends) {
+      resends_ >= config_.recovery.max_resends || (idle() && !behind())) {
     return;
   }
   ctx_ = &ctx;
@@ -85,11 +87,48 @@ void EngineBase::on_timer(net::IContext& ctx, std::uint64_t /*token*/) {
     registry_->trace_event(config_.self, obs::EventKind::kEngineRetry, round_,
                            phase());
     on_stall();
+    // An idle engine here is behind: joining round_ sends its first
+    // frame, which peers past that round answer with what ended it.
+    if (idle()) start_round();
     last_progress_ = ctx.now();  // space retries one stall window apart
     last_round_change_ = ctx.now();
   }
+  timer_armed_ = true;
   ctx.schedule(config_.recovery.tick, 0);
+  settle();
   ctx_ = nullptr;
+}
+
+bool EngineBase::demanded() const {
+  return batches_.contains(round_) || round_wanted();
+}
+
+void EngineBase::settle() {
+  if (idle() && demanded()) start_round();
+  if (!config_.recovery.enabled || timer_armed_ || (idle() && !behind())) {
+    return;
+  }
+  // A fresh chain: the engine was idle, which counts as progress.
+  timer_armed_ = true;
+  last_progress_ = ctx_->now();
+  ctx_->schedule(config_.recovery.tick, 0);
+}
+
+void EngineBase::next_round(bool grew) {
+  round_ += 1;
+  if (grew || demanded()) start_round();
+}
+
+void EngineBase::note_round(NodeId from, std::uint64_t round) {
+  if (from < peer_rounds_.size() && from != config_.self) {
+    peer_rounds_[from] = std::max(peer_rounds_[from], round);
+  }
+}
+
+bool EngineBase::behind() const {
+  const auto ahead = std::ranges::count_if(
+      peer_rounds_, [this](std::uint64_t r) { return r > round_; });
+  return static_cast<std::size_t>(ahead) > config_.f;
 }
 
 void EngineBase::park(NodeId from, const store::RefResolver& resolver,

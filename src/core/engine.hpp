@@ -42,8 +42,12 @@ class IAgreementEngine : public net::IProcess {
 public:
   using DecideFn = std::function<void(const Decision&)>;
 
-  /// The paper's new_value(v): enqueue for the next round's batch.
-  virtual void submit(Value value) = 0;
+  /// The paper's new_value(v): enqueue for the next round's batch, or
+  /// for the round an idle engine waits at, which it then starts. Pass
+  /// the caller's upcall context when calling from outside the engine's
+  /// own upcalls after it started (the RSM replica forwarding a client's
+  /// value): an idle engine needs it to start that round at once.
+  virtual void submit(Value value, net::IContext* ctx = nullptr) = 0;
 
   [[nodiscard]] virtual const ValueSet& decided_set() const = 0;
   [[nodiscard]] virtual const std::vector<Decision>& decisions() const = 0;
@@ -89,7 +93,8 @@ struct EngineConfig {
   std::size_t f = 0;
   /// Stop starting new rounds after this many (0 = unbounded). Processes
   /// keep serving as acceptors after exhausting the budget so peers still
-  /// make progress; simulations use this to reach quiescence.
+  /// make progress. Rounds start only on demand (EngineBase), so a
+  /// simulation quiesces without a budget too.
   std::uint64_t max_rounds = 0;
   /// Digest-only dissemination (see src/store/): protocol frames carry
   /// 32-byte body references and missing bodies are pulled on demand;
@@ -112,8 +117,27 @@ struct EngineConfig {
 
 /// What GWTS (§6) and GSbS (§8.2) do identically: the decision chain and
 /// its observers, value batching, the body store / registry / checkpoint
-/// plumbing, the on_message prologue, and the stall-recovery timer. The
-/// engines supply the protocol through the hooks below.
+/// plumbing, the on_message prologue, the stall-recovery timer, and the
+/// one rule that starts rounds. The engines supply the protocol through
+/// the hooks below.
+///
+/// Rounds start on demand (Alg. 3 never needs an empty round: a round
+/// waits for n−f disclosures, and a replica with nothing to disclose
+/// joins when it first sees a peer's). After each decision, and after
+/// every upcall while idle, round_ starts only if
+///   1. there is a local batch for it (submit);
+///   2. a value this replica proposed or accepted is not yet decided;
+///   3. the round just decided grew the decided set — this keeps a loaded
+///      pipeline in lock-step, since clients send each batch to only f+1
+///      replicas and the others would otherwise join each round late; or
+///   4. a peer's first frame of round_ arrived (a delivered GWTS
+///      disclosure, a valid GSbS INIT).
+/// Otherwise the engine idles at round_. A frame naming a *later* round
+/// starts nothing: frames from f+1 distinct peers beyond round_ only mark
+/// the engine as behind, which keeps the recovery timer armed; a stall
+/// pass of an idle engine that is behind joins round_, so its own first
+/// frame draws the peers' catch-up replies. One Byzantine peer naming
+/// round 2^62 therefore costs nothing.
 class EngineBase : public IAgreementEngine {
 public:
   using Decision = core::Decision;
@@ -122,22 +146,26 @@ public:
   EngineBase& operator=(const EngineBase&) = delete;
 
   /// The paper's new_value(v) event (Alg. 3 lines 8-9): values received
-  /// during round r join Batch[r+1]; before the first round, Batch[0].
-  void submit(Value value) final;
+  /// during round r join Batch[r+1]; an idle engine's value joins
+  /// Batch[round_] (before the first round, Batch[0]) and, given a
+  /// context (`ctx`, or the engine's own inside its upcalls), starts it.
+  void submit(Value value, net::IContext* ctx = nullptr) final;
 
   void on_start(net::IContext& ctx) final;
   /// Routes dissemination-layer frames (RBC / body pulls), then
   /// checkpoint frames, then the engine's own; malformed frames drop.
   void on_message(net::IContext& ctx, NodeId from,
                   wire::BytesView payload) final;
-  /// Recovery tick (armed only when config.recovery.enabled). A stall is
-  /// either no progress at all or a round clock that stopped while
-  /// traffic still flows — the laggard case, where peers' new-round
+  /// Recovery tick (config.recovery.enabled), armed only while something
+  /// is pending: a started round, or an idle engine that is behind. An
+  /// idle engine is healthy, so the chain ends when the engine goes idle.
+  /// A stall is either no progress at all or a round clock that stopped
+  /// while traffic still flows — the laggard case, where peers' new-round
   /// frames keep arriving but the local engine is wedged behind missed
   /// instances or lost bodies. Each stall pass re-offers exhausted body
   /// pulls and parked checkpoint roots, then lets the engine re-send its
-  /// current phase frame (on_stall); at most recovery.max_resends passes
-  /// per engine.
+  /// current phase frame (on_stall), or joins round_ if idle; at most
+  /// recovery.max_resends passes per engine.
   void on_timer(net::IContext& ctx, std::uint64_t token) final;
 
   [[nodiscard]] const std::vector<Decision>& decisions() const final {
@@ -172,8 +200,13 @@ protected:
              std::function<bool(const Value&)> known_safe);
 
   // -- engine hooks ----------------------------------------------------------
-  /// Starts round_ (from on_start and after every decision).
+  /// Starts round_ (when the start rule holds; see the class comment).
   virtual void start_round() = 0;
+  /// True while round_ has not started (the engine waits for demand).
+  [[nodiscard]] virtual bool idle() const = 0;
+  /// Start-rule clauses 2 and 4: a proposed or accepted value is not yet
+  /// decided, or a peer's first frame of round_ arrived.
+  [[nodiscard]] virtual bool round_wanted() const = 0;
   /// Offers a frame to the dissemination layer; true if consumed.
   virtual bool handle_layer_frame(NodeId from, std::uint8_t type,
                                   wire::Decoder& dec) = 0;
@@ -194,8 +227,14 @@ protected:
   /// Counts and clocks a new round_; false once max_rounds is spent (the
   /// engine stops proposing, its acceptor role stays live).
   [[nodiscard]] bool begin_round();
+  /// After a decision, with the engine already idle: moves to the next
+  /// round and starts it if the start rule holds (`grew`: clause 3).
+  void next_round(bool grew);
+  /// A frame from `from` showed that peer in `round` as a proposer. Frames
+  /// beyond round_ from f+1 distinct peers mark this engine as behind.
+  void note_round(NodeId from, std::uint64_t round);
   /// Merges `set` into the decided set. Only growth is recorded, counted,
-  /// traced and notified: rounds keep turning with nothing new to decide,
+  /// traced and notified: a round may end with nothing new to decide,
   /// and each recorded decision copies the full cumulative set. Lost
   /// notifications are re-sent by the replica's already-decided fast
   /// path instead (rsm::RsmReplica::on_new_batch). Returns whether the
@@ -234,7 +273,6 @@ protected:
   obs::Counter obs_retries_;  // stall passes + GWTS ack re-broadcasts
 
   std::uint64_t round_ = 0;
-  bool started_ = false;
   std::map<std::uint64_t, ValueSet> batches_;
   ValueSet decided_set_;
   std::vector<Decision> decisions_;
@@ -243,6 +281,13 @@ private:
   [[nodiscard]] bool rounds_exhausted() const {
     return config_.max_rounds != 0 && round_ >= config_.max_rounds;
   }
+  /// Start-rule clauses 1, 2 and 4 for round_.
+  [[nodiscard]] bool demanded() const;
+  /// f+1 distinct peers named a round beyond round_.
+  [[nodiscard]] bool behind() const;
+  /// The epilogue of every upcall: applies the start rule while idle, then
+  /// arms the recovery timer if something became pending.
+  void settle();
 
   std::size_t refinements_ = 0;
   // Content keys of quorum-committed sets (is_committed); they stay in
@@ -252,7 +297,11 @@ private:
   obs::Counter obs_decisions_;
   obs::Counter obs_refinements_;
 
+  // Highest round each peer named as a proposer (note_round).
+  std::vector<std::uint64_t> peer_rounds_;
+
   // Recovery state (unused unless config_.recovery.enabled).
+  bool timer_armed_ = false;
   double last_progress_ = 0.0;
   double last_round_change_ = 0.0;  // when round_ last advanced
   std::size_t resends_ = 0;

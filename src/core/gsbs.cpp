@@ -1,6 +1,7 @@
 #include "core/gsbs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <ranges>
 
 namespace bla::core {
@@ -340,9 +341,37 @@ void GsbsProcess::on_stall() {
       // catch-up path §8.2 prescribes.
       send_ack_req();
       break;
+    case State::kIdle:  // the base joins round_ next
     case State::kStopped:
       break;
   }
+}
+
+bool GsbsProcess::round_wanted() const {
+  const auto inits = init_seen_.find(round_);
+  if (inits != init_seen_.end() && !inits->second.empty()) return true;
+  // The proposal and accepted maps are cumulative and only gain batches,
+  // and the decided set only grows, so their sizes version the answer:
+  // the scan reruns only after one of them changed.
+  const std::array<std::size_t, 3> version{
+      proposed_.size(), accepted_.size(), decided_set_.size()};
+  if (version != undecided_version_) {
+    undecided_version_ = version;
+    const auto undecided = [this](const ProposalMap& proposal) {
+      return std::ranges::any_of(
+          proposal | std::views::keys, [this](const SignedBatch& sb) {
+            return std::ranges::any_of(sb.batch, [this](const Value& v) {
+              return !decided_set_.contains(v);
+            });
+          });
+    };
+    holds_undecided_ = undecided(proposed_) || undecided(accepted_);
+  }
+  return holds_undecided_;
+}
+
+bool GsbsProcess::lags(std::uint64_t round) const {
+  return round + 1 < round_ || (idle() && round < round_);
 }
 
 void GsbsProcess::start_round() {
@@ -442,17 +471,18 @@ void GsbsProcess::decide_and_advance(const ValueSet& decision) {
   // record_decision merges rather than replaces: after a snapshot
   // adoption the decided set may hold values the
   // (cumulative-since-our-rounds) proposal never carried.
-  if (record_decision(decision, round_)) maybe_checkpoint_and_compact(round_);
-  round_ += 1;
-  start_round();
+  const bool grew = record_decision(decision, round_);
+  if (grew) maybe_checkpoint_and_compact(round_);
+  state_ = State::kIdle;
+  next_round(grew);
 }
 
 void GsbsProcess::adopt_cert(const DecidedCert& cert) {
   // The GWTS rule transplanted: any legitimately ended round we are
   // currently *in* can be decided, if Local Stability allows. Adoption is
   // legal from every live phase, not just kProposing — a replica that was
-  // crashed/partitioned through a round may still sit in kInit or
-  // kSafetying when the certificate ending that round reaches it, and
+  // crashed/partitioned through a round may still sit idle, in kInit or
+  // in kSafetying when the certificate ending that round reaches it, and
   // waiting for its own proposal to form would wedge it forever (peers
   // will not re-run a round they already ended).
   if (state_ == State::kStopped || cert.round != round_) return;
@@ -569,16 +599,12 @@ void GsbsProcess::on_init(NodeId from, wire::Decoder& dec,
   if (sb.signer != from) return;  // INIT commits the *sender's* batch
   if (!safety_.verify_item(sb)) return;
   safety_.index_signed(init_seen_[sb.round], sb);
+  note_round(from, sb.round);
   if (sb.round == round_) maybe_enter_safetying();
-  // §8.2 catch-up: an INIT lagging two or more rounds behind us marks a
-  // wedged proposer (stall recovery re-broadcasts INIT; a crashed or
-  // partitioned replica misses whole rounds). Hand back the certificate
-  // that ended its round so it can adopt and skip forward — its own
-  // next-round INIT then elicits the next certificate, message-driven.
-  // One round of skew is normal lock-step operation and gets nothing:
-  // handing heavy cumulative certs to every slightly-behind peer would
-  // turn each round into an O(n) certificate storm.
-  if (sb.round + 1 < round_) send_cert_if_held(sb.round, from);
+  // §8.2 catch-up: hand a lagging proposer the certificate that ended its
+  // round so it can adopt and skip forward — its own next-round INIT then
+  // elicits the next certificate, message-driven.
+  if (lags(sb.round)) send_cert_if_held(sb.round, from);
 }
 
 void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
@@ -598,6 +624,7 @@ void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
     return;
   }
   if (!safety_.all_signed(set, round)) return;
+  note_round(from, round);
 
   BatchSafeAck ack;
   ack.acceptor = config_.self;
@@ -611,9 +638,9 @@ void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
   enc.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeAck));
   encode_batch_safe_ack(enc, ack, Codec{store_.get(), config_.digest_refs});
   ctx_->send(from, enc.take());
-  // §8.2 catch-up, as in on_init: a safe-req lagging two or more rounds
-  // behind gets the certificate alongside the safe-ack.
-  if (round + 1 < round_) send_cert_if_held(round, from);
+  // §8.2 catch-up, as in on_init: a lagging safe-req gets the
+  // certificate alongside the safe-ack.
+  if (lags(round)) send_cert_if_held(round, from);
 }
 
 void GsbsProcess::on_safe_ack(NodeId from, wire::Decoder& dec,
@@ -646,6 +673,7 @@ void GsbsProcess::on_ack_req(NodeId from, wire::Decoder& dec,
     park(from, resolver, frame);
     return;
   }
+  note_round(from, round);
 
   if (round > safe_r_) {
     // Round not yet trusted (Lemma 7's gate): park the request. Proposals

@@ -22,8 +22,10 @@
 // its own round.
 //
 // The scaffold shared with GWTS — EngineConfig, the decision chain,
-// store / registry / checkpoint plumbing and the stall timer — is
-// core::EngineBase; this class holds the protocol. With digest_refs,
+// store / registry / checkpoint plumbing, the stall timer and the rule
+// that starts rounds only on demand — is core::EngineBase; this class
+// holds the protocol. A replica with nothing to sign idles and joins a
+// round once a valid peer INIT for it arrives. With digest_refs,
 // safe-acks, proposals (with their proofs) and decided certificates
 // carry 32-byte value references; INIT batches stay inline. Counters
 // include sig_checks (real signature verifications), sig_cache_hits
@@ -46,6 +48,7 @@
 // evidence; today the proposal/accepted maps still travel in full, so
 // [root]+delta frame compaction is GWTS-only.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -177,7 +180,7 @@ public:
   [[nodiscard]] std::uint64_t trusted_round() const { return safe_r_; }
 
 private:
-  enum class State { kInit, kSafetying, kProposing, kStopped };
+  enum class State { kIdle, kInit, kSafetying, kProposing, kStopped };
 
   using ProposalMap = ProvenMap<SignedBatch, BatchSafeAck>;
 
@@ -190,6 +193,10 @@ private:
 
   // -- EngineBase hooks ---------------------------------------------------
   void start_round() override;
+  [[nodiscard]] bool idle() const override { return state_ == State::kIdle; }
+  /// Clause 2 over the proven batches proposed and accepted, clause 4 as
+  /// a valid peer INIT for round_.
+  [[nodiscard]] bool round_wanted() const override;
   bool handle_layer_frame(NodeId from, std::uint8_t type,
                           wire::Decoder& dec) override;
   // Each frame handler fully decodes (resolving value references) before
@@ -225,6 +232,15 @@ private:
   /// §8.2 catch-up reply for stale-round INIT / safe-req / ack-req
   /// traffic from lagging proposers.
   void send_cert_if_held(std::uint64_t round, NodeId to);
+  /// Whether a proposer's frame for `round` lags enough to earn the
+  /// certificate that ended it: two or more rounds behind a running
+  /// round, or any round behind while idle. One round of skew is normal
+  /// lock-step operation and gets nothing: handing heavy cumulative
+  /// certs to every slightly-behind peer would turn each round into an
+  /// O(n) certificate storm. An idle replica runs no round to storm, and
+  /// a peer one round behind it may need the certificate to leave kInit
+  /// at all (the frames it lost were sent once).
+  [[nodiscard]] bool lags(std::uint64_t round) const;
   /// Decides a certificate-proven union for round_ and moves to the next
   /// round.
   void decide_and_advance(const ValueSet& decision);
@@ -267,7 +283,7 @@ private:
   /// Equivocation pairs this acceptor signed into its safe-acks.
   obs::Counter obs_conflicts_listed_;
 
-  State state_ = State::kInit;
+  State state_ = State::kIdle;
   std::uint64_t ts_ = 0;
 
   // Per-round init collections: signer -> distinct signed batches seen.
@@ -279,6 +295,11 @@ private:
   ProposalMap proposed_;
   std::set<NodeId> ack_senders_;
   std::vector<SignedAck> collected_acks_;
+
+  // round_wanted's clause-2 answer and the (proposed, accepted, decided)
+  // sizes it was computed at.
+  mutable std::array<std::size_t, 3> undecided_version_{};
+  mutable bool holds_undecided_ = false;
 
   // Acceptor state.
   std::map<std::uint64_t, BySigner<SignedBatch>> candidate_seen_;

@@ -113,22 +113,6 @@ void GwtsProcess::start_round() {
   }
   state_ = State::kDisclosing;
 
-  // Idle-tail GC: checkpoints fire on decided growth, so a long idle
-  // tail (rounds churning with nothing new to decide) never advances the
-  // expiry floor and re-accretes one RBC instance pair per node per
-  // round forever. When every piece of engine state is already covered
-  // by our latest checkpoint — working deltas empty, decided fully
-  // committed — the rounds since ckpt_round_ disclosed only covered
-  // content, so advancing the floor to the just-completed round is
-  // exactly as safe as a fresh checkpoint there: any expired instance a
-  // laggard still wants is answered by the snapshot instead.
-  if (ckpt_.enabled() && ckpt_.latest().seq > 0 &&
-      round_ >= ckpt_round_ + 2 && proposed_set_.empty() &&
-      accepted_set_.empty() && delta_of(decided_set_).empty()) {
-    ckpt_round_ = round_ - 1;
-    compact_state(/*covered_idle=*/true);
-  }
-
   const ValueSet& batch = batches_[round_];
   bool sent = broadcast_disclosure(batch);
   if (!sent && ckpt_.force_checkpoint(decided_set_)) {
@@ -165,6 +149,16 @@ void GwtsProcess::start_round() {
   if (disclosure_counter_[round_] >= disclosure_threshold(config_.n, config_.f)) {
     begin_proposing();
   }
+}
+
+bool GwtsProcess::round_wanted() const {
+  const auto undecided = [this](const ValueSet& set) {
+    return std::ranges::any_of(
+        set, [this](const Value& v) { return !decided_set_.contains(v); });
+  };
+  const auto disclosed = disclosure_counter_.find(round_);
+  return undecided(proposed_set_) || undecided(accepted_set_) ||
+         (disclosed != disclosure_counter_.end() && disclosed->second > 0);
 }
 
 bool GwtsProcess::broadcast_disclosure(const ValueSet& batch) {
@@ -220,6 +214,7 @@ void GwtsProcess::handle_frame(NodeId from, wire::BytesView payload) {
         // Horizon for the discovery probes: peers' ack-reqs are the
         // earliest post-heal signal of how far the cluster advanced.
         max_seen_round_ = std::max(max_seen_round_, msg.round);
+        if (msg.type == MsgType::kAckReq) note_round(from, msg.round);
         if (!resolver.complete()) {
           park(from, resolver, payload);
           return;
@@ -310,6 +305,7 @@ void GwtsProcess::on_disclosure(NodeId origin, std::uint64_t round,
     }
   }
   disclosure_counter_[round] += 1;
+  note_round(origin, round);
   note_progress();
   if (round <= round_ && state_ != State::kStopped) {
     // Delta-space merge: a laggard re-disclosing checkpointed values
@@ -423,14 +419,14 @@ void GwtsProcess::check_decide() {
     // Growing decisions drive the checkpoint clock: once the decided set
     // outgrew the interval, commit it and collapse downstream state
     // before the next round's frames are built.
-    if (record_decision(set, round_) &&
-        ckpt_.maybe_checkpoint(decided_set_)) {
+    const bool grew = record_decision(set, round_);
+    if (grew && ckpt_.maybe_checkpoint(decided_set_)) {
       ckpt_round_ = round_;
       compact_state();
     }
     note_progress();
-    round_ += 1;
-    start_round();
+    state_ = State::kIdle;
+    next_round(grew);
     return;
   }
 }
@@ -623,7 +619,7 @@ ValueSet GwtsProcess::delta_of(const ValueSet& full) const {
   return ValueSet::from_sorted(std::move(kept));  // filtered: still sorted
 }
 
-void GwtsProcess::compact_state(bool covered_idle) {
+void GwtsProcess::compact_state() {
   // A fresh own checkpoint covers everything the previous one did plus
   // more (decided sets only grow), so re-deltaing the working sets is a
   // pure filter by the new covered() — no expansion round-trip needed.
@@ -681,22 +677,10 @@ void GwtsProcess::compact_state(bool covered_idle) {
   }
   for (auto& [origin, rounds] : delivered_ack_rounds_) {
     std::uint64_t floor = ack_expired_floor_[origin];
-    if (covered_idle) {
-      // Gap-jumping: an undelivered seq below a delivered one was
-      // broadcast at an earlier-or-equal round (seqs and rounds are both
-      // monotone per origin), so once the delivered seq's round is ≥ 2
-      // behind the checkpoint, everything under it is settled history a
-      // laggard recovers from the snapshot, not from a probe.
-      for (const auto& [seq, round] : rounds) {
-        if (round + 1 >= ckpt_round_) break;
-        floor = std::max(floor, seq + 1);
-      }
-    } else {
-      while (true) {
-        auto it = rounds.find(floor);
-        if (it == rounds.end() || it->second + 1 >= ckpt_round_) break;
-        ++floor;
-      }
+    while (true) {
+      auto it = rounds.find(floor);
+      if (it == rounds.end() || it->second + 1 >= ckpt_round_) break;
+      ++floor;
     }
     if (floor > ack_expired_floor_[origin]) {
       rbc_.expire_below(origin, kAckTagBase, kAckTagBase | floor);

@@ -24,8 +24,10 @@
 //    up and keeps the decision sequence live (Lemma 8).
 //
 // The scaffold shared with GSbS — EngineConfig, the decision chain,
-// store / registry / checkpoint plumbing and the stall timer — is
-// core::EngineBase; this class holds the protocol. With digest_refs,
+// store / registry / checkpoint plumbing, the stall timer and the rule
+// that starts rounds only on demand — is core::EngineBase; this class
+// holds the protocol. A replica with nothing to disclose idles and joins
+// a round once a peer's disclosure for it is delivered. With digest_refs,
 // Bracha ECHO/READY carry payload digests and ack/proposal value sets
 // ship 32-byte references (disclosures stay inline). Checkpointing
 // additionally compacts ack-req/ack/nack value sets to [root]+delta
@@ -59,7 +61,7 @@ public:
   [[nodiscard]] std::uint64_t safe_round() const { return safe_r_; }
 
 private:
-  enum class State { kDisclosing, kProposing, kStopped };
+  enum class State { kIdle, kDisclosing, kProposing, kStopped };
 
   // Disclosure tags are round numbers; ack broadcasts get a disjoint tag
   // space so one Bracha instance never aliases another.
@@ -115,6 +117,11 @@ private:
 
   // -- EngineBase hooks ---------------------------------------------------
   void start_round() override;
+  [[nodiscard]] bool idle() const override { return state_ == State::kIdle; }
+  /// Clause 2 over the proposed and accepted deltas (checkpoint-covered
+  /// values are decided), clause 4 as a delivered peer disclosure for
+  /// round_.
+  [[nodiscard]] bool round_wanted() const override;
   bool handle_layer_frame(NodeId from, std::uint8_t type,
                           wire::Decoder& dec) override;
   /// Point-to-point ack-req / nack; also the replay target for frames
@@ -168,11 +175,8 @@ private:
   /// Collapses downstream state after a new own checkpoint: re-deltas
   /// proposed/accepted, prunes value_round_ entries and ack bookkeeping
   /// the checkpoint now answers for, and expires Bracha instances ≥ 2
-  /// rounds behind it. `covered_idle` marks the idle-tail call: every
-  /// piece of engine state is already checkpoint-covered, so the ack
-  /// expiry floor may jump over undelivered-seq gaps (their content is
-  /// answered by the snapshot, never by a probe).
-  void compact_state(bool covered_idle = false);
+  /// rounds behind it.
+  void compact_state();
   /// Anti-entropy discovery (recovery only): kVoteReq probes for RBC
   /// instances whose every frame fell inside a partition / crash window
   /// — invisible to retry_undelivered, but nameable because disclosure
@@ -192,7 +196,7 @@ private:
   obs::Gauge obs_proposed_delta_;  // proposer delta cardinality
 
   // Proposer state (Alg. 3). The decided set (base) is always full.
-  State state_ = State::kDisclosing;
+  State state_ = State::kIdle;
   std::uint64_t ts_ = 0;
   ValueSet proposed_set_;  // DELTA vs own checkpoint (see expand())
 

@@ -55,6 +55,12 @@ std::optional<ClusterConfig> parse_cluster_config(std::istream& in,
       if (!(ls >> cfg.checkpoint_interval)) {
         return fail("bad checkpoint_interval");
       }
+      if (cfg.checkpoint_interval == 0) {
+        return fail(
+            "checkpoint_interval must be > 0: without checkpoints no "
+            "Bracha instance expires, and a GWTS cluster wedges at the "
+            "per-origin instance cap");
+      }
     } else if (key == "max_clients") {
       if (!(ls >> cfg.max_clients) || cfg.max_clients == 0) {
         return fail("bad max_clients");

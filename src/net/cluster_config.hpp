@@ -10,7 +10,7 @@
 //     engine gwts            # gwts | gsbs
 //     key_scheme hmac        # hmac | ed25519
 //     key_seed 42
-//     checkpoint_interval 8  # 0 disables checkpointing
+//     checkpoint_interval 16 # > 0; the default is 16
 //     replica 0 127.0.0.1:9100
 //     replica 1 127.0.0.1:9101
 //     replica 2 127.0.0.1:9102
@@ -36,7 +36,11 @@ struct ClusterConfig {
   std::string engine = "gwts";      // gwts | gsbs
   std::string key_scheme = "hmac";  // hmac | ed25519
   std::uint64_t key_seed = 1;
-  std::uint64_t checkpoint_interval = 0;
+  /// Decided elements between checkpoints. Never 0: checkpoints are what
+  /// expire old Bracha instances, so a GWTS cluster without them hits
+  /// the per-origin instance cap (rbc::kMaxInstancesPerOrigin, two
+  /// instances per round) after 8 192 rounds and wedges.
+  std::uint64_t checkpoint_interval = 16;
   /// Client ids [n, n + max_clients) are verifiable: replicas size their
   /// derived signer set to cover them (derivation is per-id, so sizing
   /// is a cap, not a key change). A client beyond the cap signs with a

@@ -227,8 +227,11 @@ TEST(CheckpointLaggard, GsbsCatchesUpFromSnapshot) {
   // slot, so the three live replicas still form a quorum).
   opt.byz_ids = {net::NodeId{4}};
   opt.clients = 2;
-  opt.commands_per_client = 128;
-  opt.batch_size = 8;  // 32 batches
+  // 64 batches: enough rounds for the peers' checkpoints to prune the
+  // certificates of the laggard's rounds, so certificate-by-certificate
+  // catch-up cannot cover the gap (with 32 batches it does).
+  opt.commands_per_client = 256;
+  opt.batch_size = 8;
   opt.max_rounds = 80;
   opt.checkpoint_interval = 8;
   opt.registry = std::make_shared<obs::Registry>();
@@ -367,18 +370,22 @@ TEST(CheckpointCompactRetry, OverCapAckCompactsAndRetries) {
   EXPECT_EQ(testutil::check_gla_comparability(chains), "");
 }
 
-/// Byzantine node that stays silent until acceptor 0 asks for a round
-/// ≥ `trigger`, then reliably discloses one large value under each of the
-/// already finished round tags 2 and 3 and asks node 0 alone to ack, for
-/// round 3, the honest values plus both large ones. The ack-req parks
-/// until both disclosures deliver at node 0, so it is handled while node
-/// 0 is rounds ahead of it.
+/// Byzantine node that at start discloses an empty batch for each round
+/// in [filler_from, filler_to] (rounds start on demand, so these keep the
+/// honest replicas turning rounds with nothing new), then stays silent
+/// until acceptor 0 asks for a round ≥ `trigger`. It then reliably
+/// discloses one large value under each of the already finished round
+/// tags 2 and 3 and asks node 0 alone to ack, for round 3, the honest
+/// values plus both large ones. The ack-req parks until both disclosures
+/// deliver at node 0, so it is handled while node 0 is rounds ahead of it.
 class LateDiscloser final : public net::IProcess {
 public:
   LateDiscloser(std::size_t cap, std::uint64_t trigger,
-                core::ValueSet honest, std::vector<core::Value> large)
+                core::ValueSet honest, std::vector<core::Value> large,
+                std::uint64_t filler_from, std::uint64_t filler_to)
       : cap_(cap), trigger_(trigger), honest_(std::move(honest)),
-        large_(std::move(large)) {}
+        large_(std::move(large)), filler_from_(filler_from),
+        filler_to_(filler_to) {}
 
   void on_start(net::IContext& ctx) override {
     rbc::BrachaRbc::Config rc;
@@ -394,6 +401,15 @@ public:
           ctx_->send(to, std::move(p));
         },
         [](net::NodeId, std::uint64_t, wire::Bytes) {});
+    ctx_ = &ctx;
+    for (std::uint64_t round = filler_from_; round <= filler_to_; ++round) {
+      wire::Encoder enc;
+      enc.u8(static_cast<std::uint8_t>(core::MsgType::kDisclosure));
+      store::encode_value_set_ref(enc, core::ValueSet{}, nullptr,
+                                  /*refs=*/false);
+      enc.u64(round);
+      ASSERT_TRUE(rbc_->broadcast(round, enc.view()));
+    }
   }
 
   void on_message(net::IContext& ctx, net::NodeId from,
@@ -434,6 +450,8 @@ private:
   std::uint64_t trigger_;
   core::ValueSet honest_;
   std::vector<core::Value> large_;
+  std::uint64_t filler_from_;
+  std::uint64_t filler_to_;
   std::unique_ptr<rbc::BrachaRbc> rbc_;
   net::IContext* ctx_ = nullptr;
   bool sent_ = false;
@@ -446,10 +464,13 @@ TEST(CheckpointCompactRetry, AckStillOverCapAfterCompactIsUnrecorded) {
   // checkpoint's compaction (ckpt_round_ = round_) prunes the ack record
   // that the refused retry then un-records. That path must find the
   // record by key, not through a pruned iterator (ASan would flag it).
+  // Honest values fill rounds 0-3; the Byzantine node's empty
+  // disclosures then carry the replicas through rounds 4 onward.
   constexpr std::size_t kN = 4;
   constexpr std::size_t kF = 1;
   constexpr std::size_t kCap = 4096;
   constexpr std::uint64_t kTrigger = 5;
+  constexpr std::uint64_t kValueRounds = 4;
   const auto registry = std::make_shared<obs::Registry>();
 
   net::SimNetwork net{net::SimNetwork::Config{}};
@@ -464,11 +485,22 @@ TEST(CheckpointCompactRetry, AckStillOverCapAfterCompactIsUnrecorded) {
     gc.digest_refs = false;
     gc.checkpoint_interval = 100'000;  // only forced checkpoints
     gc.registry = registry;
+    const auto value = [id](std::uint64_t round) {
+      return lattice::value_from("v" + std::to_string(id) + "." +
+                                 std::to_string(round));
+    };
+    auto holder = std::make_shared<core::GwtsProcess*>(nullptr);
     auto p = std::make_unique<core::GwtsProcess>(
-        gc, nullptr, /*store=*/nullptr, /*max_payload_bytes=*/kCap);
-    const core::Value v = lattice::value_from("v" + std::to_string(id));
-    p->submit(v);
-    honest.insert(v);
+        gc,
+        [holder, value](const core::Decision& d) {
+          if (d.round + 1 < kValueRounds) (*holder)->submit(value(d.round + 1));
+        },
+        /*store=*/nullptr, /*max_payload_bytes=*/kCap);
+    *holder = p.get();
+    p->submit(value(0));
+    for (std::uint64_t round = 0; round < kValueRounds; ++round) {
+      honest.insert(value(round));
+    }
     procs.push_back(p.get());
     net.add_process(std::move(p));
   }
@@ -476,7 +508,8 @@ TEST(CheckpointCompactRetry, AckStillOverCapAfterCompactIsUnrecorded) {
   for (const char fill : {'a', 'b'}) {
     large.push_back(core::Value(kCap / 2, static_cast<std::uint8_t>(fill)));
   }
-  auto byz = std::make_unique<LateDiscloser>(kCap, kTrigger, honest, large);
+  auto byz = std::make_unique<LateDiscloser>(kCap, kTrigger, honest, large,
+                                             kValueRounds, 2 * kTrigger);
   const LateDiscloser* discloser = byz.get();
   net.add_process(std::move(byz));
   net.run(10'000'000);

@@ -195,8 +195,9 @@ TEST(Gwts, DecisionTimesAreBounded) {
 }
 
 TEST(Gwts, EmptyBatchesStillRotateRounds) {
-  // Processes with nothing to propose still decide (possibly empty sets)
-  // and the round structure keeps turning.
+  // Processes with nothing to propose join node 0's round on its
+  // disclosure and decide; one more round follows the one that grew the
+  // decided set, and then the rounds stop.
   net::SimNetwork net({.seed = 1, .delay = nullptr});
   std::vector<GwtsProcess*> procs;
   for (net::NodeId id = 0; id < 4; ++id) {
@@ -208,8 +209,8 @@ TEST(Gwts, EmptyBatchesStillRotateRounds) {
   procs[0]->submit(lattice::value_from("only-value"));
   net.run();
   for (const GwtsProcess* p : procs) {
-    // Both rounds ran to completion (the budget is exhausted), but only
-    // set-growing decisions are recorded — an idle round adds nothing.
+    // Both rounds ran to completion, but only set-growing decisions are
+    // recorded — the second round adds nothing.
     EXPECT_EQ(p->current_round(), 2u);
     ASSERT_GE(p->decisions().size(), 1u);
     EXPECT_TRUE(p->decisions().back().set.contains(
@@ -235,9 +236,10 @@ TEST(Gwts, LateSubmissionLandsInLaterRound) {
   procs[1]->submit(lattice::value_from("late"));
   net.run();
   for (const GwtsProcess* p : procs) {
-    // All six rounds ran; the recorded decisions are just the growth
-    // events ("early" lands, then "late" lands — possibly merged).
-    EXPECT_EQ(p->current_round(), 6u);
+    // Rounds ran only on demand: "early"'s round and the one after it,
+    // then "late"'s round and the one after it. The recorded decisions
+    // are just the growth events.
+    EXPECT_EQ(p->current_round(), 4u);
     ASSERT_GE(p->decisions().size(), 1u);
     EXPECT_TRUE(p->decisions().back().set.contains(
         lattice::value_from("early")));
@@ -328,9 +330,11 @@ private:
   std::size_t repeats_;
 };
 
-/// n GWTS replicas with recovery on, one value each per run, all sharing
-/// `registry`; `byzantine(id)` supplies the process for the last f slots
-/// (nullptr: silent) and `wrap` may decorate a correct one.
+/// n GWTS replicas with recovery on, one value each per round ("v<id>"
+/// first, then one more from each decision while rounds remain, so every
+/// round carries values), all sharing `registry`; `byzantine(id)`
+/// supplies the process for the last f slots (nullptr: silent) and
+/// `wrap` may decorate a correct one.
 struct RecoveryRun {
   std::size_t n = 4;
   std::size_t f = 1;
@@ -362,7 +366,16 @@ struct RecoveryRun {
       config.registry = registry;
       config.recovery.enabled = true;
       config.recovery.max_reacks = max_reacks;
-      auto proc = std::make_unique<GwtsProcess>(config);
+      auto holder = std::make_shared<GwtsProcess*>(nullptr);
+      auto proc = std::make_unique<GwtsProcess>(
+          config, [holder, id, rounds = rounds](const Decision& d) {
+            if (d.round + 1 < rounds) {
+              (*holder)->submit(lattice::value_from(
+                  "v" + std::to_string(id) + "." +
+                  std::to_string(d.round + 1)));
+            }
+          });
+      *holder = proc.get();
       proc->submit(lattice::value_from("v" + std::to_string(id)));
       correct.push_back(proc.get());
       std::unique_ptr<net::IProcess> hosted = std::move(proc);

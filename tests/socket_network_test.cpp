@@ -299,6 +299,16 @@ TEST(ClusterConfig, RejectsBadInput) {
   EXPECT_FALSE(parse("n 1\nf 0\nreplica 0 a:1\nreplica 0 a:2\n"));  // dup
   EXPECT_FALSE(parse("n 1\nf 0\nbogus 3\nreplica 0 a:1\n"));  // unknown key
   EXPECT_FALSE(parse("n 1\nf 0\nengine paxos\nreplica 0 a:1\n"));
+  // No checkpoints means no Bracha instance ever expires.
+  std::string error;
+  std::istringstream no_ckpt(
+      "n 1\nf 0\ncheckpoint_interval 0\nreplica 0 a:1\n");
+  EXPECT_FALSE(net::parse_cluster_config(no_ckpt, &error));
+  EXPECT_NE(error.find("instance cap"), std::string::npos) << error;
+  // Left out, it defaults to 16.
+  const auto defaulted = parse("n 1\nf 0\nreplica 0 a:1\n");
+  ASSERT_TRUE(defaulted);
+  EXPECT_EQ(defaulted->checkpoint_interval, 16u);
 }
 
 // ---------------------------------------------------------------------------
