@@ -67,7 +67,8 @@ struct RecoveryConfig {
   double stall_after = 16.0;
   /// Lifetime cap on stall-triggered re-sends (per engine).
   std::size_t max_resends = 256;
-  /// GWTS acceptor: cap on fresh-tag ack re-broadcasts per (set, round).
+  /// GWTS acceptor: cap on fresh-tag ack re-broadcasts per (set, round)
+  /// and repeating asker.
   std::size_t max_reacks = 8;
 };
 

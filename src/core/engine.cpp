@@ -8,6 +8,12 @@
 
 namespace bla::core {
 
+namespace {
+// Timer tokens: the recovery tick, and the start hop of submit(value, ctx).
+constexpr std::uint64_t kRecoveryToken = 0;
+constexpr std::uint64_t kStartToken = 1;
+}  // namespace
+
 EngineBase::EngineBase(EngineConfig config, DecideFn on_decide,
                        std::shared_ptr<store::BodyStore> store,
                        const char* name,
@@ -34,17 +40,32 @@ EngineBase::EngineBase(EngineConfig config, DecideFn on_decide,
   peer_rounds_.assign(config_.n, 0);
 }
 
-void EngineBase::submit(Value value, net::IContext* ctx) {
+void EngineBase::submit(Value value) {
+  // Before start, on_start applies the start rule; inside an upcall, its
+  // epilogue does. Anywhere else an idle engine would sit on the value.
+  if (started_ && ctx_ == nullptr) {
+    throw std::logic_error(
+        "EngineBase::submit: after on_start, outside the engine's upcalls, "
+        "pass the caller's context");
+  }
   batches_[idle() ? round_ : round_ + 1].insert(std::move(value));
-  // Inside the engine's own upcalls the epilogue applies the start rule.
-  if (ctx_ != nullptr || ctx == nullptr) return;
-  ctx_ = ctx;
-  settle();
-  ctx_ = nullptr;
+}
+
+void EngineBase::submit(Value value, net::IContext& ctx) {
+  const bool was_idle = idle();
+  batches_[was_idle ? round_ : round_ + 1].insert(std::move(value));
+  // Nested in the engine's own upcall, its epilogue applies the start
+  // rule. Otherwise an idle engine applies it from a zero-delay timer,
+  // after the rest of this instant's arrivals joined the batch: values
+  // that arrive together start one round, not one round and the next.
+  if (ctx_ != nullptr || !was_idle || start_pending_) return;
+  start_pending_ = true;
+  ctx.schedule(0.0, kStartToken);
 }
 
 void EngineBase::on_start(net::IContext& ctx) {
   ctx_ = &ctx;
+  started_ = true;
   last_round_change_ = ctx.now();
   settle();
   ctx_ = nullptr;
@@ -69,7 +90,14 @@ void EngineBase::on_message(net::IContext& ctx, NodeId from,
   ctx_ = nullptr;
 }
 
-void EngineBase::on_timer(net::IContext& ctx, std::uint64_t /*token*/) {
+void EngineBase::on_timer(net::IContext& ctx, std::uint64_t token) {
+  if (token == kStartToken) {
+    start_pending_ = false;
+    ctx_ = &ctx;
+    settle();
+    ctx_ = nullptr;
+    return;
+  }
   timer_armed_ = false;
   // The chain ends once stopped (a stopped engine serves acceptors
   // message-driven), once the retry budget is spent on a permanently
@@ -88,35 +116,46 @@ void EngineBase::on_timer(net::IContext& ctx, std::uint64_t /*token*/) {
                            phase());
     on_stall();
     // An idle engine here is behind: joining round_ sends its first
-    // frame, which peers past that round answer with what ended it.
-    if (idle()) start_round();
+    // frame, which peers past that round answer with what ended it. f+1
+    // peers past round_ include a correct one, so this counts as demand.
+    if (idle()) {
+      opened_by_peer_ = false;
+      start_round();
+    }
     last_progress_ = ctx.now();  // space retries one stall window apart
     last_round_change_ = ctx.now();
   }
   timer_armed_ = true;
-  ctx.schedule(config_.recovery.tick, 0);
+  ctx.schedule(config_.recovery.tick, kRecoveryToken);
   settle();
   ctx_ = nullptr;
 }
 
-bool EngineBase::demanded() const {
-  return batches_.contains(round_) || round_wanted();
+void EngineBase::maybe_start(bool grew) {
+  if (grew || batches_.contains(round_) || round_wanted()) {
+    opened_by_peer_ = false;
+  } else if (!opened_by_peer_ && peer_opened()) {
+    opened_by_peer_ = true;
+  } else {
+    return;
+  }
+  start_round();
 }
 
 void EngineBase::settle() {
-  if (idle() && demanded()) start_round();
+  if (idle()) maybe_start(/*grew=*/false);
   if (!config_.recovery.enabled || timer_armed_ || (idle() && !behind())) {
     return;
   }
   // A fresh chain: the engine was idle, which counts as progress.
   timer_armed_ = true;
   last_progress_ = ctx_->now();
-  ctx_->schedule(config_.recovery.tick, 0);
+  ctx_->schedule(config_.recovery.tick, kRecoveryToken);
 }
 
 void EngineBase::next_round(bool grew) {
   round_ += 1;
-  if (grew || demanded()) start_round();
+  maybe_start(grew);
 }
 
 void EngineBase::note_round(NodeId from, std::uint64_t round) {

@@ -43,11 +43,16 @@ public:
   using DecideFn = std::function<void(const Decision&)>;
 
   /// The paper's new_value(v): enqueue for the next round's batch, or
-  /// for the round an idle engine waits at, which it then starts. Pass
-  /// the caller's upcall context when calling from outside the engine's
-  /// own upcalls after it started (the RSM replica forwarding a client's
-  /// value): an idle engine needs it to start that round at once.
-  virtual void submit(Value value, net::IContext* ctx = nullptr) = 0;
+  /// for the round an idle engine waits at, which it then starts. This
+  /// form is for use before on_start or inside the engine's own upcalls
+  /// (a decide callback); after start, anywhere else, it throws
+  /// std::logic_error, since an idle engine could not start the round.
+  virtual void submit(Value value) = 0;
+  /// The same from the caller's own upcall after start (the RSM replica
+  /// forwarding a client's value): an idle engine starts round_ from a
+  /// zero-delay timer on `ctx`, so that the values arriving in the same
+  /// instant join that round's batch.
+  virtual void submit(Value value, net::IContext& ctx) = 0;
 
   [[nodiscard]] virtual const ValueSet& decided_set() const = 0;
   [[nodiscard]] virtual const std::vector<Decision>& decisions() const = 0;
@@ -129,15 +134,24 @@ struct EngineConfig {
 ///   2. a value this replica proposed or accepted is not yet decided;
 ///   3. the round just decided grew the decided set — this keeps a loaded
 ///      pipeline in lock-step, since clients send each batch to only f+1
-///      replicas and the others would otherwise join each round late; or
-///   4. a peer's first frame of round_ arrived (a delivered GWTS
-///      disclosure, a valid GSbS INIT).
-/// Otherwise the engine idles at round_. A frame naming a *later* round
-/// starts nothing: frames from f+1 distinct peers beyond round_ only mark
-/// the engine as behind, which keeps the recovery timer armed; a stall
-/// pass of an idle engine that is behind joins round_, so its own first
-/// frame draws the peers' catch-up replies. One Byzantine peer naming
-/// round 2^62 therefore costs nothing.
+///      replicas and the others would otherwise join each round late;
+///   4. a peer's first frame of round_ (a delivered GWTS disclosure, a
+///      valid GSbS INIT) carries a value not yet decided here; or
+///   5. a peer's first frame of round_ arrived at all, unless the
+///      previous round started on this clause alone.
+/// Otherwise the engine idles at round_. Clause 5 lets a replica that
+/// started a round with nothing to disclose (by clause 2 or 3, say after
+/// deciding one round later than its peers) draw them in, and clause 4
+/// is never limited. The limit on clause 5 keeps one Byzantine peer from
+/// driving correct replicas through round after round that carries
+/// nothing: each such round needs a round started by demand before it,
+/// and demand is a value, which grows the decided set towards the next
+/// checkpoint (the only thing that expires RBC instances). A frame naming
+/// a *later* round starts nothing: frames from f+1 distinct peers beyond
+/// round_ only mark the engine as behind, which keeps the recovery timer
+/// armed; a stall pass of an idle engine that is behind joins round_, so
+/// its own first frame draws the peers' catch-up replies. One Byzantine
+/// peer naming round 2^62 therefore costs nothing.
 class EngineBase : public IAgreementEngine {
 public:
   using Decision = core::Decision;
@@ -147,18 +161,22 @@ public:
 
   /// The paper's new_value(v) event (Alg. 3 lines 8-9): values received
   /// during round r join Batch[r+1]; an idle engine's value joins
-  /// Batch[round_] (before the first round, Batch[0]) and, given a
-  /// context (`ctx`, or the engine's own inside its upcalls), starts it.
-  void submit(Value value, net::IContext* ctx = nullptr) final;
+  /// Batch[round_] (before the first round, Batch[0]) and starts it, at
+  /// the end of the engine's own upcall or from a zero-delay timer (token
+  /// 1; the recovery tick is token 0) on `ctx`.
+  void submit(Value value) final;
+  void submit(Value value, net::IContext& ctx) final;
 
   void on_start(net::IContext& ctx) final;
   /// Routes dissemination-layer frames (RBC / body pulls), then
   /// checkpoint frames, then the engine's own; malformed frames drop.
   void on_message(net::IContext& ctx, NodeId from,
                   wire::BytesView payload) final;
-  /// Recovery tick (config.recovery.enabled), armed only while something
-  /// is pending: a started round, or an idle engine that is behind. An
-  /// idle engine is healthy, so the chain ends when the engine goes idle.
+  /// Token 1 is submit's start hop, which applies the start rule. Token
+  /// 0 is the recovery tick (config.recovery.enabled), armed only while
+  /// something is pending: a started round, or an idle engine that is
+  /// behind. An idle engine is healthy, so the chain ends when the engine
+  /// goes idle.
   /// A stall is either no progress at all or a round clock that stopped
   /// while traffic still flows — the laggard case, where peers' new-round
   /// frames keep arriving but the local engine is wedged behind missed
@@ -205,8 +223,10 @@ protected:
   /// True while round_ has not started (the engine waits for demand).
   [[nodiscard]] virtual bool idle() const = 0;
   /// Start-rule clauses 2 and 4: a proposed or accepted value is not yet
-  /// decided, or a peer's first frame of round_ arrived.
+  /// decided, or a peer's first frame of round_ carries an undecided one.
   [[nodiscard]] virtual bool round_wanted() const = 0;
+  /// Start-rule clause 5: a peer's first frame of round_ arrived.
+  [[nodiscard]] virtual bool peer_opened() const = 0;
   /// Offers a frame to the dissemination layer; true if consumed.
   virtual bool handle_layer_frame(NodeId from, std::uint8_t type,
                                   wire::Decoder& dec) = 0;
@@ -228,7 +248,8 @@ protected:
   /// engine stops proposing, its acceptor role stays live).
   [[nodiscard]] bool begin_round();
   /// After a decision, with the engine already idle: moves to the next
-  /// round and starts it if the start rule holds (`grew`: clause 3).
+  /// round and applies the start rule (`grew`: clause 3, which an engine
+  /// also invokes when it knows itself left behind).
   void next_round(bool grew);
   /// A frame from `from` showed that peer in `round` as a proposer. Frames
   /// beyond round_ from f+1 distinct peers mark this engine as behind.
@@ -281,8 +302,8 @@ private:
   [[nodiscard]] bool rounds_exhausted() const {
     return config_.max_rounds != 0 && round_ >= config_.max_rounds;
   }
-  /// Start-rule clauses 1, 2 and 4 for round_.
-  [[nodiscard]] bool demanded() const;
+  /// The start rule for an idle round_ (see the class comment).
+  void maybe_start(bool grew);
   /// f+1 distinct peers named a round beyond round_.
   [[nodiscard]] bool behind() const;
   /// The epilogue of every upcall: applies the start rule while idle, then
@@ -297,6 +318,10 @@ private:
   obs::Counter obs_decisions_;
   obs::Counter obs_refinements_;
 
+  bool started_ = false;        // on_start ran
+  bool start_pending_ = false;  // submit's zero-delay start timer is armed
+  // The round running or last run started on start-rule clause 5 alone.
+  bool opened_by_peer_ = false;
   // Highest round each peer named as a proposer (note_round).
   std::vector<std::uint64_t> peer_rounds_;
 

@@ -1,7 +1,6 @@
 #include "core/gsbs.hpp"
 
 #include <algorithm>
-#include <array>
 #include <ranges>
 
 namespace bla::core {
@@ -348,26 +347,25 @@ void GsbsProcess::on_stall() {
 }
 
 bool GsbsProcess::round_wanted() const {
-  const auto inits = init_seen_.find(round_);
-  if (inits != init_seen_.end() && !inits->second.empty()) return true;
-  // The proposal and accepted maps are cumulative and only gain batches,
-  // and the decided set only grows, so their sizes version the answer:
-  // the scan reruns only after one of them changed.
-  const std::array<std::size_t, 3> version{
-      proposed_.size(), accepted_.size(), decided_set_.size()};
-  if (version != undecided_version_) {
-    undecided_version_ = version;
-    const auto undecided = [this](const ProposalMap& proposal) {
-      return std::ranges::any_of(
-          proposal | std::views::keys, [this](const SignedBatch& sb) {
-            return std::ranges::any_of(sb.batch, [this](const Value& v) {
-              return !decided_set_.contains(v);
-            });
-          });
-    };
-    holds_undecided_ = undecided(proposed_) || undecided(accepted_);
+  const auto undecided = [this](const SignedBatch& sb) {
+    return std::ranges::any_of(
+        sb.batch, [this](const Value& v) { return !decided_set_.contains(v); });
+  };
+  if (std::ranges::any_of(proposed_ | std::views::keys, undecided) ||
+      std::ranges::any_of(accepted_ | std::views::keys, undecided)) {
+    return true;
   }
-  return holds_undecided_;
+  const auto inits = init_seen_.find(round_);
+  return inits != init_seen_.end() &&
+         std::ranges::any_of(inits->second | std::views::values,
+                             [&](const std::vector<SignedBatch>& batches) {
+                               return std::ranges::any_of(batches, undecided);
+                             });
+}
+
+bool GsbsProcess::peer_opened() const {
+  const auto inits = init_seen_.find(round_);
+  return inits != init_seen_.end() && !inits->second.empty();
 }
 
 bool GsbsProcess::lags(std::uint64_t round) const {
@@ -467,14 +465,15 @@ void GsbsProcess::broadcast_cert_and_decide(DecidedCert cert) {
   decide_and_advance(decision);
 }
 
-void GsbsProcess::decide_and_advance(const ValueSet& decision) {
+void GsbsProcess::decide_and_advance(const ValueSet& decision,
+                                     bool left_behind) {
   // record_decision merges rather than replaces: after a snapshot
   // adoption the decided set may hold values the
   // (cumulative-since-our-rounds) proposal never carried.
   const bool grew = record_decision(decision, round_);
   if (grew) maybe_checkpoint_and_compact(round_);
   state_ = State::kIdle;
-  next_round(grew);
+  next_round(grew || left_behind);
 }
 
 void GsbsProcess::adopt_cert(const DecidedCert& cert) {
@@ -497,7 +496,12 @@ void GsbsProcess::adopt_cert(const DecidedCert& cert) {
     if (!union_set.contains(v) && !ckpt_.covered_any(v)) return;
   }
   for (const auto& [sb, proof] : cert.proposal) proposed_.emplace(sb, proof);
-  decide_and_advance(union_set);
+  // Still collecting INITs when the round already ended: the peers ended
+  // it without us (we were crashed or cut off), and they may be idle
+  // rounds ahead, sending nothing. Starting the next round at once sends
+  // its INIT, which peers past that round answer with its certificate
+  // (lags), until we reach them.
+  decide_and_advance(union_set, /*left_behind=*/state_ == State::kInit);
 }
 
 void GsbsProcess::adopt_cert_if_held(std::uint64_t round) {

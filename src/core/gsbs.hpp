@@ -25,7 +25,8 @@
 // store / registry / checkpoint plumbing, the stall timer and the rule
 // that starts rounds only on demand — is core::EngineBase; this class
 // holds the protocol. A replica with nothing to sign idles and joins a
-// round once a valid peer INIT for it arrives. With digest_refs,
+// round once a valid peer INIT for it arrives (within the limit the base
+// puts on INITs that carry nothing new). With digest_refs,
 // safe-acks, proposals (with their proofs) and decided certificates
 // carry 32-byte value references; INIT batches stay inline. Counters
 // include sig_checks (real signature verifications), sig_cache_hits
@@ -48,7 +49,6 @@
 // evidence; today the proposal/accepted maps still travel in full, so
 // [root]+delta frame compaction is GWTS-only.
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -194,9 +194,11 @@ private:
   // -- EngineBase hooks ---------------------------------------------------
   void start_round() override;
   [[nodiscard]] bool idle() const override { return state_ == State::kIdle; }
-  /// Clause 2 over the proven batches proposed and accepted, clause 4 as
-  /// a valid peer INIT for round_.
+  /// Clause 2 over the proven batches proposed and accepted; clause 4 as
+  /// a valid peer INIT for round_ whose batch holds an undecided value.
   [[nodiscard]] bool round_wanted() const override;
+  /// Clause 5: a valid peer INIT for round_.
+  [[nodiscard]] bool peer_opened() const override;
   bool handle_layer_frame(NodeId from, std::uint8_t type,
                           wire::Decoder& dec) override;
   // Each frame handler fully decodes (resolving value references) before
@@ -242,8 +244,9 @@ private:
   /// at all (the frames it lost were sent once).
   [[nodiscard]] bool lags(std::uint64_t round) const;
   /// Decides a certificate-proven union for round_ and moves to the next
-  /// round.
-  void decide_and_advance(const ValueSet& decision);
+  /// round, which starts at once if the decision grew the decided set or
+  /// the replica was `left_behind` (see adopt_cert).
+  void decide_and_advance(const ValueSet& decision, bool left_behind = false);
   void advance_trust();
   void drain_buffers();
   // -- checkpoint integration ----------------------------------------------
@@ -295,11 +298,6 @@ private:
   ProposalMap proposed_;
   std::set<NodeId> ack_senders_;
   std::vector<SignedAck> collected_acks_;
-
-  // round_wanted's clause-2 answer and the (proposed, accepted, decided)
-  // sizes it was computed at.
-  mutable std::array<std::size_t, 3> undecided_version_{};
-  mutable bool holds_undecided_ = false;
 
   // Acceptor state.
   std::map<std::uint64_t, BySigner<SignedBatch>> candidate_seen_;

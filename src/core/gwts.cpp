@@ -112,6 +112,17 @@ void GwtsProcess::start_round() {
     return;
   }
   state_ = State::kDisclosing;
+  // Peers' values first disclosed for this round while an earlier one ran
+  // were not merged on delivery (they are safe only from this round on):
+  // merge them now, as if delivered in this round.
+  std::vector<Value> early;
+  for (const auto& [v, round] : value_round_) {
+    if (round == round_ && !decided_set_.contains(v)) early.push_back(v);
+  }
+  if (!early.empty()) {
+    proposed_set_.merge(delta_of(ValueSet::from_sorted(std::move(early))));
+    obs_proposed_delta_.set(proposed_set_.size());
+  }
 
   const ValueSet& batch = batches_[round_];
   bool sent = broadcast_disclosure(batch);
@@ -152,13 +163,24 @@ void GwtsProcess::start_round() {
 }
 
 bool GwtsProcess::round_wanted() const {
-  const auto undecided = [this](const ValueSet& set) {
-    return std::ranges::any_of(
-        set, [this](const Value& v) { return !decided_set_.contains(v); });
+  const auto undecided = [this](const Value& v) {
+    return !decided_set_.contains(v);
   };
+  if (std::ranges::any_of(proposed_set_, undecided) ||
+      std::ranges::any_of(accepted_set_, undecided)) {
+    return true;
+  }
+  // A disclosure for round_ delivered while an earlier round ran is not
+  // in proposed_set_; its fresh values are those first disclosed in it.
+  return peer_opened() &&
+         std::ranges::any_of(value_round_, [&](const auto& entry) {
+           return entry.second == round_ && undecided(entry.first);
+         });
+}
+
+bool GwtsProcess::peer_opened() const {
   const auto disclosed = disclosure_counter_.find(round_);
-  return undecided(proposed_set_) || undecided(accepted_set_) ||
-         (disclosed != disclosure_counter_.end() && disclosed->second > 0);
+  return disclosed != disclosure_counter_.end() && disclosed->second > 0;
 }
 
 bool GwtsProcess::broadcast_disclosure(const ValueSet& batch) {
@@ -524,16 +546,17 @@ void GwtsProcess::handle_ack_req(const PendingPoint& msg) {
     // by the broadcast already out.
     AckKey key{msg.set.elements(), msg.round};
     auto [it, fresh] = acks_published_.try_emplace(std::move(key));
-    AckPublished& published = it->second;
-    const bool repeat = !published.askers.insert(msg.from).second;
+    auto [asker, first_ask] = it->second.try_emplace(msg.from, 0);
     bool rebroadcast = fresh;
-    if (repeat && config_.recovery.enabled &&
-        published.reacks < config_.recovery.max_reacks) {
+    if (!first_ask && config_.recovery.enabled &&
+        asker->second < config_.recovery.max_reacks) {
       // The same asker asking again is its stall re-send: it (or its RBC
       // instance) lost the ack. Re-publish under a fresh tag — the old
-      // instance may be wedged mid-quorum — bounded per key so a
-      // Byzantine pester can't mint unbounded RBCs.
-      ++published.reacks;
+      // instance may be wedged mid-quorum — bounded per key and asker so
+      // a Byzantine pester can't mint unbounded RBCs. Per asker: askers
+      // cut off from a quorum through an outage re-send all along, and
+      // must not spend the re-acks of one that rejoins after it.
+      ++asker->second;
       obs_retries_.inc();
       registry_->trace_event(config_.self, obs::EventKind::kEngineRetry,
                              msg.round, msg.from);

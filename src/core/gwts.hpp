@@ -27,7 +27,8 @@
 // store / registry / checkpoint plumbing, the stall timer and the rule
 // that starts rounds only on demand — is core::EngineBase; this class
 // holds the protocol. A replica with nothing to disclose idles and joins
-// a round once a peer's disclosure for it is delivered. With digest_refs,
+// a round once a peer's disclosure for it is delivered (within the limit
+// the base puts on disclosures that carry nothing new). With digest_refs,
 // Bracha ECHO/READY carry payload digests and ack/proposal value sets
 // ship 32-byte references (disclosures stay inline). Checkpointing
 // additionally compacts ack-req/ack/nack value sets to [root]+delta
@@ -84,11 +85,10 @@ private:
     auto operator<=>(const AckKey&) const = default;
   };
 
-  /// Acceptor-side record of one published ack (see handle_ack_req).
-  struct AckPublished {
-    std::set<NodeId> askers;  // proposers whose ack-req it answered
-    std::size_t reacks = 0;   // fresh-tag re-publications spent
-  };
+  /// Acceptor-side record of one published ack (see handle_ack_req):
+  /// each proposer whose ack-req it answered, with the fresh-tag
+  /// re-publications that proposer's repeats drew.
+  using AckPublished = std::map<NodeId, std::size_t>;
 
   struct PendingPoint {  // buffered point-to-point ack_req / nack
     NodeId from;
@@ -119,9 +119,11 @@ private:
   void start_round() override;
   [[nodiscard]] bool idle() const override { return state_ == State::kIdle; }
   /// Clause 2 over the proposed and accepted deltas (checkpoint-covered
-  /// values are decided), clause 4 as a delivered peer disclosure for
-  /// round_.
+  /// values are decided); clause 4 as a delivered disclosure for round_
+  /// holding a value first disclosed in that round and not yet decided.
   [[nodiscard]] bool round_wanted() const override;
+  /// Clause 5: a delivered disclosure for round_.
+  [[nodiscard]] bool peer_opened() const override;
   bool handle_layer_frame(NodeId from, std::uint8_t type,
                           wire::Decoder& dec) override;
   /// Point-to-point ack-req / nack; also the replay target for frames
@@ -160,7 +162,7 @@ private:
   /// Alg. 4 accept-or-nack. An accepted (set, round) is published once;
   /// with recovery on, a repeated ack-req from an asker it already
   /// answered re-publishes it under a fresh tag, at most max_reacks
-  /// times per key.
+  /// times per key and asker.
   void handle_ack_req(const PendingPoint& msg);
   void handle_nack(const PendingPoint& msg);
   void drain_waiting();

@@ -59,7 +59,7 @@ void RsmReplica::on_message(net::IContext& ctx, NodeId from,
       const Value value = lattice::decode_value(dec);
       dec.expect_done();
       if (decode_command(value).has_value()) {
-        engine_->submit(value, &ctx);
+        engine_->submit(value, ctx);
       }
     } else if (type == core::MsgType::kRsmNewBatch) {
       dec.u8();
@@ -146,7 +146,7 @@ void RsmReplica::on_new_batch(NodeId from, wire::Decoder& dec,
     ctx_->send(from, encode_decide_frame(engine_->decided_set()));
     return;
   }
-  engine_->submit(std::move(value), ctx_);
+  engine_->submit(std::move(value), *ctx_);
 }
 
 void RsmReplica::on_decide(const core::Decision& decision) {

@@ -16,35 +16,67 @@
 namespace bla::core {
 namespace {
 
-/// Hosts an engine and submits `value` to it from a timer at time `at`,
-/// through the runtime's context as the RSM replica does.
+/// Hosts an engine and submits `values` to it at time `at`, each from
+/// its own timer event, through the runtime's context as the RSM replica
+/// does.
 class SubmitAt final : public net::IProcess {
 public:
-  SubmitAt(std::unique_ptr<IAgreementEngine> engine, Value value, double at)
-      : engine_(std::move(engine)), value_(std::move(value)), at_(at) {}
+  SubmitAt(std::unique_ptr<IAgreementEngine> engine, std::vector<Value> values,
+           double at)
+      : engine_(std::move(engine)), values_(std::move(values)), at_(at) {}
 
   void on_start(net::IContext& ctx) override {
     engine_->on_start(ctx);
-    ctx.schedule(at_, kSubmitToken);
+    for (std::size_t k = 0; k < values_.size(); ++k) {
+      ctx.schedule(at_, kSubmitToken + k);
+    }
   }
   void on_message(net::IContext& ctx, NodeId from,
                   wire::BytesView payload) override {
     engine_->on_message(ctx, from, payload);
   }
   void on_timer(net::IContext& ctx, std::uint64_t token) override {
-    if (token == kSubmitToken) {
-      engine_->submit(value_, &ctx);
+    if (token >= kSubmitToken) {
+      engine_->submit(values_[token - kSubmitToken], ctx);
     } else {
       engine_->on_timer(ctx, token);
     }
   }
 
 private:
-  static constexpr std::uint64_t kSubmitToken = 7;  // engines use 0
+  static constexpr std::uint64_t kSubmitToken = 7;  // engines use 0 and 1
   std::unique_ptr<IAgreementEngine> engine_;
-  Value value_;
+  std::vector<Value> values_;
   double at_;
 };
+
+/// Broadcasts the first frame of `round` from a peer: a GWTS disclosure
+/// of `batch` (as the RBC SEND; correct replicas echo it to delivery) and
+/// a GSbS INIT of `batch` signed by `signer`.
+void open_round(net::IContext& ctx, std::uint64_t round,
+                const ValueSet& batch, const crypto::ISigner& signer) {
+  wire::Encoder disclosure;
+  disclosure.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
+  lattice::encode_value_set(disclosure, batch);
+  disclosure.u64(round);
+  wire::Encoder send;
+  send.u8(static_cast<std::uint8_t>(rbc::MsgType::kSend));
+  send.u64(round);  // disclosure tag = round
+  send.bytes(disclosure.view());
+  ctx.broadcast(send.take());
+
+  const store::BodyStore store;
+  SignedBatch sb{ctx.self(), round, batch, {}};
+  sb.signature =
+      signer.sign(batch_signing_bytes(sb, content_key(batch.elements(), store)));
+  wire::Encoder init;
+  init.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
+  init.u32(sb.signer);
+  init.u64(sb.round);
+  lattice::encode_value_set(init, sb.batch);
+  init.bytes(sb.signature);
+  ctx.broadcast(init.take());
+}
 
 /// Byzantine peer naming a far-future round in every frame kind that
 /// carries a proposer's round — a GWTS disclosure (reliably broadcast)
@@ -67,16 +99,7 @@ private:
     if (budget_ == 0) return;
     --budget_;
     const ValueSet batch{lattice::value_from("far")};
-
-    wire::Encoder disclosure;
-    disclosure.u8(static_cast<std::uint8_t>(MsgType::kDisclosure));
-    lattice::encode_value_set(disclosure, batch);
-    disclosure.u64(round_);
-    wire::Encoder send;
-    send.u8(static_cast<std::uint8_t>(rbc::MsgType::kSend));
-    send.u64(round_);  // disclosure tag = round
-    send.bytes(disclosure.view());
-    ctx.broadcast(send.take());
+    open_round(ctx, round_, batch, *signer_);
 
     wire::Encoder ack_req;
     ack_req.u8(static_cast<std::uint8_t>(MsgType::kAckReq));
@@ -85,18 +108,6 @@ private:
     ack_req.u64(1);  // ts
     ack_req.u64(round_);
     ctx.broadcast(ack_req.take());
-
-    const store::BodyStore store;
-    SignedBatch sb{ctx.self(), round_, batch, {}};
-    sb.signature = signer_->sign(
-        batch_signing_bytes(sb, content_key(batch.elements(), store)));
-    wire::Encoder init;
-    init.u8(static_cast<std::uint8_t>(MsgType::kGsbsInit));
-    init.u32(sb.signer);
-    init.u64(sb.round);
-    lattice::encode_value_set(init, sb.batch);
-    init.bytes(sb.signature);
-    ctx.broadcast(init.take());
 
     wire::Encoder gsbs_ack_req;
     gsbs_ack_req.u8(static_cast<std::uint8_t>(MsgType::kGsbsAckReq));
@@ -110,6 +121,27 @@ private:
   std::uint64_t round_;
   std::shared_ptr<const crypto::ISigner> signer_;
   std::size_t budget_;
+};
+
+/// Byzantine peer that opens every round r < batches.size() at start
+/// with batches[r] — the first frame a correct replica may join round r
+/// on — and then stays silent.
+class RoundOpener final : public net::IProcess {
+public:
+  RoundOpener(std::vector<ValueSet> batches,
+              std::shared_ptr<const crypto::ISigner> signer)
+      : batches_(std::move(batches)), signer_(std::move(signer)) {}
+
+  void on_start(net::IContext& ctx) override {
+    for (std::uint64_t r = 0; r < batches_.size(); ++r) {
+      open_round(ctx, r, batches_[r], *signer_);
+    }
+  }
+  void on_message(net::IContext&, NodeId, wire::BytesView) override {}
+
+private:
+  std::vector<ValueSet> batches_;
+  std::shared_ptr<const crypto::ISigner> signer_;
 };
 
 class EngineContract : public ::testing::TestWithParam<EngineKind> {
@@ -143,7 +175,8 @@ protected:
       auto e = engine(id, 4, 1);
       engines.push_back(e.get());
       if (id == 0) {
-        net.add_process(std::make_unique<SubmitAt>(std::move(e), value, at));
+        net.add_process(std::make_unique<SubmitAt>(
+            std::move(e), std::vector<Value>{value}, at));
       } else {
         net.add_process(std::move(e));
       }
@@ -234,6 +267,34 @@ TEST_P(EngineContract, ValueAfterIdlingDecidesAsFastAsAtStart) {
   EXPECT_EQ(after_idle, at_start);
 }
 
+TEST_P(EngineContract, ValuesArrivingTogetherShareOneRound) {
+  // Two values reach an idle node 0 in separate events of one instant:
+  // the round starts after both joined its batch, so one round decides
+  // both, and the round after that growth carries nothing.
+  net::SimNetwork net({.seed = 1, .delay = nullptr});
+  std::vector<IAgreementEngine*> engines;
+  const std::vector<Value> values{lattice::value_from("first"),
+                                  lattice::value_from("second")};
+  for (NodeId id = 0; id < 4; ++id) {
+    auto e = engine(id, 4, 1);
+    engines.push_back(e.get());
+    if (id == 0) {
+      net.add_process(std::make_unique<SubmitAt>(std::move(e), values, 5.0));
+    } else {
+      net.add_process(std::move(e));
+    }
+  }
+  net.run();
+  for (NodeId id = 0; id < 4; ++id) {
+    EXPECT_EQ(counter(id, "rounds"), 2u) << "node " << id;
+    ASSERT_EQ(engines[id]->decisions().size(), 1u) << "node " << id;
+    EXPECT_EQ(engines[id]->decisions().front().round, 0u) << "node " << id;
+    for (const Value& v : values) {
+      EXPECT_TRUE(engines[id]->decided_set().contains(v)) << "node " << id;
+    }
+  }
+}
+
 TEST_P(EngineContract, ReplicasWithoutTheValueJoinItsRound) {
   // n = 7, f = 2 silent, and the value reaches only f+1 replicas (as a
   // client sends a batch): the other two join on the first peer frame of
@@ -274,6 +335,68 @@ TEST_P(EngineContract, FarFutureFramesStartNoRoundAndNoStallPasses) {
   for (NodeId id = 0; id < 3; ++id) {
     EXPECT_EQ(counter(id, "rounds"), 0u) << "node " << id;
     EXPECT_EQ(counter(id, "retries"), 0u) << "node " << id;
+  }
+}
+
+TEST_P(EngineContract, EmptyRoundsOpenedByOnePeerRunAtMostOneInARow) {
+  // One Byzantine peer opens rounds 0..199 with empty batches before
+  // anything is submitted. A correct replica joins such a round only if
+  // the previous one started on demand, so the idle cluster runs round 0
+  // and stops; a value submitted at t = 1000 then runs its round, the
+  // round after that growth, and one more opened round, and still
+  // decides everywhere. Without the limit every replica would run all
+  // 200 rounds, two RBC instances each in GWTS, never expired (nothing
+  // grows towards a checkpoint).
+  net::SimNetwork net({.seed = 1, .delay = nullptr});
+  std::vector<IAgreementEngine*> engines;
+  const Value value = lattice::value_from("after-churn");
+  for (NodeId id = 0; id < 3; ++id) {
+    auto e = engine(id, 4, 1);
+    engines.push_back(e.get());
+    if (id == 0) {
+      net.add_process(std::make_unique<SubmitAt>(
+          std::move(e), std::vector<Value>{value}, 1000.0));
+    } else {
+      net.add_process(std::move(e));
+    }
+  }
+  net.add_process(std::make_unique<RoundOpener>(std::vector<ValueSet>(200),
+                                                signers_->signer_for(3)));
+  constexpr std::uint64_t kEventCap = 1'000'000;
+  EXPECT_LT(net.run(kEventCap), kEventCap);
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(counter(id, "rounds"), 4u) << "node " << id;
+    EXPECT_TRUE(engines[id]->decided_set().contains(value)) << "node " << id;
+    EXPECT_EQ(registry_->counter("node" + std::to_string(id) +
+                                 "/rbc/instance_cap")
+                  .value(),
+              0u);
+  }
+}
+
+TEST_P(EngineContract, FreshValueOpenedEarlyStartsItsRoundAfterAnEmptyOne) {
+  // A peer opens round 0 with nothing and round 1 with a new value, both
+  // at start, so the replicas hold the round-1 frame while round 0 runs.
+  // Round 0 started on an empty frame alone, so round 1 may start only
+  // on what its frame carries: the value not yet decided. It is decided
+  // in round 1, and the growth starts one more round.
+  net::SimNetwork net({.seed = 1, .delay = nullptr});
+  std::vector<IAgreementEngine*> engines;
+  for (NodeId id = 0; id < 3; ++id) {
+    auto e = engine(id, 4, 1);
+    engines.push_back(e.get());
+    net.add_process(std::move(e));
+  }
+  const Value value = lattice::value_from("opened-early");
+  net.add_process(std::make_unique<RoundOpener>(
+      std::vector<ValueSet>{ValueSet{}, ValueSet{value}},
+      signers_->signer_for(3)));
+  net.run();
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(counter(id, "rounds"), 3u) << "node " << id;
+    ASSERT_EQ(engines[id]->decisions().size(), 1u) << "node " << id;
+    EXPECT_EQ(engines[id]->decisions().front().round, 1u) << "node " << id;
+    EXPECT_TRUE(engines[id]->decided_set().contains(value)) << "node " << id;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -221,32 +222,43 @@ TEST(Gwts, EmptyBatchesStillRotateRounds) {
 TEST(Gwts, LateSubmissionLandsInLaterRound) {
   net::SimNetwork net({.seed = 1, .delay = nullptr});
   std::vector<GwtsProcess*> procs;
+  const Value late = lattice::value_from("late");
   for (net::NodeId id = 0; id < 4; ++id) {
     // Generous round budget: a value submitted mid-run lands in a batch
     // near the current frontier and needs settle rounds to be guaranteed
     // into every decision chain (see GwtsScenarioOptions::settle_rounds).
-    auto p = std::make_unique<GwtsProcess>(EngineConfig{id, 4, 1, 6});
+    // Process 1 injects the late value at its first decision, from inside
+    // its own upcall: it joins the batch of the round after.
+    auto holder = std::make_shared<GwtsProcess*>(nullptr);
+    GwtsProcess::DecideFn on_decide;
+    if (id == 1) {
+      on_decide = [holder, late](const GwtsProcess::Decision& d) {
+        if (d.round == 0) (*holder)->submit(late);
+      };
+    }
+    auto p = std::make_unique<GwtsProcess>(EngineConfig{id, 4, 1, 6},
+                                           std::move(on_decide));
+    *holder = p.get();
     procs.push_back(p.get());
     net.add_process(std::move(p));
   }
   procs[0]->submit(lattice::value_from("early"));
-  // Run until process 1 has made its first decision, then inject the
-  // late value — it lands in an early batch with plenty of settle rounds.
-  net.run(UINT64_MAX, [&] { return !procs[1]->decisions().empty(); });
-  procs[1]->submit(lattice::value_from("late"));
   net.run();
   for (const GwtsProcess* p : procs) {
-    // Rounds ran only on demand: "early"'s round and the one after it,
-    // then "late"'s round and the one after it. The recorded decisions
-    // are just the growth events.
-    EXPECT_EQ(p->current_round(), 4u);
+    // Rounds ran only on demand: "early"'s round 0, "late"'s round 1,
+    // then one more round after that growth. The recorded decisions are
+    // just the growth events.
+    EXPECT_EQ(p->current_round(), 3u);
     ASSERT_GE(p->decisions().size(), 1u);
+    EXPECT_EQ(p->decisions().front().round, 0u);
     EXPECT_TRUE(p->decisions().back().set.contains(
         lattice::value_from("early")));
   }
-  // The late value is decided by its submitter (Inclusivity).
-  EXPECT_TRUE(
-      procs[1]->decisions().back().set.contains(lattice::value_from("late")));
+  // The late value is decided by its submitter (Inclusivity), in a later
+  // round than the early one.
+  ASSERT_GE(procs[1]->decisions().size(), 2u);
+  EXPECT_TRUE(procs[1]->decisions().back().set.contains(late));
+  EXPECT_FALSE(procs[1]->decisions().front().set.contains(late));
 }
 
 // ---------------------------------------------------------------------------
@@ -259,13 +271,19 @@ TEST(Gwts, LateSubmissionLandsInLaterRound) {
 constexpr std::uint64_t kAckTag = std::uint64_t{1} << 62;
 
 /// Delivers every frame to `inner` except the Bracha SEND / ECHO / READY
-/// / vote-request frames of one RBC instance (origin, tag): that node's
-/// copy of the broadcast is lost for good, retries included.
+/// / vote-request frames of the RBC instances (origin, tag) with tag in
+/// [tag, tag_end) that arrive before time `until`: that node's copy of
+/// those broadcasts is lost for good, retries included.
 class DropInstance final : public net::IProcess {
 public:
   DropInstance(std::unique_ptr<net::IProcess> inner, NodeId origin,
-               std::uint64_t tag)
-      : inner_(std::move(inner)), origin_(origin), tag_(tag) {}
+               std::uint64_t tag, std::uint64_t tag_end = 0,
+               double until = std::numeric_limits<double>::infinity())
+      : inner_(std::move(inner)),
+        origin_(origin),
+        tag_(tag),
+        tag_end_(tag_end == 0 ? tag + 1 : tag_end),
+        until_(until) {}
 
   void on_start(net::IContext& ctx) override { inner_->on_start(ctx); }
   void on_timer(net::IContext& ctx, std::uint64_t token) override {
@@ -273,7 +291,7 @@ public:
   }
   void on_message(net::IContext& ctx, NodeId from,
                   wire::BytesView payload) override {
-    if (matches(from, payload)) {
+    if (ctx.now() < until_ && matches(from, payload)) {
       ++dropped_;
       return;
     }
@@ -287,12 +305,12 @@ private:
       wire::Decoder dec(payload);
       switch (static_cast<rbc::MsgType>(dec.u8())) {
         case rbc::MsgType::kSend:
-          return from == origin_ && dec.u64() == tag_;
+          return from == origin_ && in_range(dec.u64());
         case rbc::MsgType::kEcho:
         case rbc::MsgType::kReady:
         case rbc::MsgType::kVoteReq: {
           const NodeId origin = dec.u32();
-          return origin == origin_ && dec.u64() == tag_;
+          return origin == origin_ && in_range(dec.u64());
         }
         default:
           return false;
@@ -302,9 +320,15 @@ private:
     }
   }
 
+  [[nodiscard]] bool in_range(std::uint64_t tag) const {
+    return tag >= tag_ && tag < tag_end_;
+  }
+
   std::unique_ptr<net::IProcess> inner_;
   NodeId origin_;
   std::uint64_t tag_;
+  std::uint64_t tag_end_;
+  double until_;
   std::size_t dropped_ = 0;
 };
 
@@ -443,7 +467,7 @@ TEST(GwtsRecovery, LostAckIsRepublishedOnTheAskersRepeat) {
 
 TEST(GwtsRecovery, RepeatingAskerDrawsAtMostMaxReacks) {
   // A Byzantine proposer repeats every ack-req it sees 20 times. Each
-  // repeat is from an asker already answered, but the per-key budget
+  // repeat is from an asker already answered, but the asker's budget
   // caps what it buys: at most max_reacks re-acks per acceptor per key.
   constexpr std::size_t kMaxReacks = 3;
   RecoveryRun run;
@@ -454,6 +478,42 @@ TEST(GwtsRecovery, RepeatingAskerDrawsAtMostMaxReacks) {
   for (NodeId id = 0; id < 3; ++id) {
     EXPECT_EQ(run.correct[id]->current_round(), 1u);
     EXPECT_EQ(run.counter(id, "retries"), kMaxReacks) << "node " << id;
+  }
+}
+
+TEST(GwtsRecovery, AskerCutOffWhileOthersRepeatStillDrawsReacks) {
+  // Node 0 loses every ack broadcast of acceptor 1 until t = 12, and with
+  // node 3 Byzantine it needs acceptor 1's ack for a quorum. Meanwhile
+  // the Byzantine asker repeats each ack-req 20 times, drawing all the
+  // re-acks its own budget allows, and node 0 loses those too. Node 0's
+  // stall re-send comes later; its budget is its own, so acceptor 1 still
+  // re-publishes for it and node 0 decides. (With one budget per key, the
+  // repeats of others would have spent it, as askers cut off from a
+  // quorum during an outage do, and node 0 would never decide.)
+  constexpr std::size_t kMaxReacks = 3;
+  DropInstance* filter = nullptr;
+  RecoveryRun run;
+  run.rounds = 1;
+  run.max_reacks = kMaxReacks;
+  run.byzantine = [](NodeId) { return std::make_unique<RepeatingAsker>(20); };
+  run.wrap = [&](NodeId id, std::unique_ptr<net::IProcess> proc)
+      -> std::unique_ptr<net::IProcess> {
+    if (id != 0) return proc;
+    auto wrapped = std::make_unique<DropInstance>(
+        std::move(proc), /*origin=*/1, kAckTag, kAckTag | (kAckTag - 1),
+        /*until=*/12.0);
+    filter = wrapped.get();
+    return wrapped;
+  };
+  run.run();
+  ASSERT_NE(filter, nullptr);
+  EXPECT_GT(filter->dropped(), 0u);
+  EXPECT_GT(run.counter(1, "retries"), kMaxReacks);
+  for (const GwtsProcess* proc : run.correct) {
+    EXPECT_EQ(proc->current_round(), run.rounds);
+    ASSERT_FALSE(proc->decisions().empty());
+    EXPECT_TRUE(proc->decisions().back().set.contains(
+        lattice::value_from("v0")));
   }
 }
 
