@@ -2,9 +2,10 @@
 # Loopback cluster smoke: 4 replicad processes left idle for 30 s, which
 # must cost each under 0.3 s of CPU (rounds start only on demand) and
 # leave the cluster able to commit a late client's commands within 1 s;
-# then loadgen, then the crash drill — kill -9 one replica mid-cluster,
-# assert the survivors
-# keep committing, restart it, and assert (a) new commands confirm and
+# then loadgen, then a paced loadgen at 200 cmd/s (it must take the
+# 1.95 s its schedule spans, and on GWTS its due->confirm p50 must stay
+# under 50 ms), then the crash drill — kill -9 one replica mid-cluster,
+# assert the survivors keep committing, restart it, and assert (a) new commands confirm and
 # (b) the rejoiner's obs dump proves checkpoint catch-up ran
 # (node<id>/checkpoint/snapshots_adopted > 0). Finally SIGTERM everyone
 # and require clean exits (status 0) — the graceful drain path.
@@ -84,6 +85,28 @@ done
 
 echo "== phase 1: baseline load (2 clients x 500 commands)"
 "$LOADGEN" --config "$CONF" --commands 500 --clients 2 --timeout 60 --json
+
+echo "== phase 1b: paced load (200 cmd/s, 400 commands)"
+PACED=$("$LOADGEN" --config "$CONF" --commands 400 --rate 200 --id-base 7 \
+  --timeout 60 --json)
+echo "$PACED"
+json_field() { # name -> value in $PACED
+  grep -o "\"$1\": [0-9.]*" <<< "$PACED" | grep -o '[0-9.]*$'
+}
+WALL=$(json_field wall_sec)
+DUE_P50=$(json_field due_to_confirm_p50_ms)
+# Command 399 falls due on tick 39 of 50 ms, at 1.95 s.
+if awk -v w="$WALL" 'BEGIN { exit !(w < 1.9) }'; then
+  echo "cluster_smoke: FAIL — paced run took ${WALL} s, under the 1.9 s" \
+    "its schedule spans: loadgen offered more than --rate" >&2
+  exit 1
+fi
+if [[ $ENGINE == gwts ]] &&
+  awk -v p="$DUE_P50" 'BEGIN { exit !(p >= 50) }'; then
+  echo "cluster_smoke: FAIL — paced due->confirm p50 ${DUE_P50} ms," \
+    "50 ms or more" >&2
+  exit 1
+fi
 
 echo "== phase 2: kill -9 replica 3, survivors must keep committing"
 kill -9 "${PIDS[3]}"

@@ -18,8 +18,7 @@ BatchBuilder::BatchBuilder(BatchBuilderConfig config,
   config_.max_bytes = std::min(config_.max_bytes, kMaxBatchBytes);
 }
 
-std::optional<SignedCommandBatch> BatchBuilder::add(Value command,
-                                                    double now) {
+std::optional<SignedCommandBatch> BatchBuilder::add(Value command) {
   if (command.empty() || command[0] == kBatchMagic ||
       command.size() > config_.max_bytes) {
     ++commands_dropped_;
@@ -32,7 +31,6 @@ std::optional<SignedCommandBatch> BatchBuilder::add(Value command,
       pending_bytes_ + command.size() > config_.max_bytes) {
     sealed = seal();
   }
-  if (pending_.empty()) oldest_enqueue_time_ = now;
   pending_bytes_ += command.size();
   pending_.push_back(std::move(command));
   if (pending_.size() >= config_.max_commands) {
@@ -43,12 +41,6 @@ std::optional<SignedCommandBatch> BatchBuilder::add(Value command,
     return seal();
   }
   return sealed;
-}
-
-std::optional<SignedCommandBatch> BatchBuilder::flush_due(double now) {
-  if (config_.max_delay <= 0.0 || pending_.empty()) return std::nullopt;
-  if (now - oldest_enqueue_time_ < config_.max_delay) return std::nullopt;
-  return seal();
 }
 
 std::optional<SignedCommandBatch> BatchBuilder::flush() {

@@ -1,14 +1,14 @@
 #pragma once
 // Batched proposal pipeline, layer 2: the BatchBuilder.
 //
-// Accumulates encoded commands into size/byte/time-bounded batches, then
-// seals each one with a single signature over the batch digest. Sealing
-// policy mirrors production batchers (cf. the Logos BatchStateBlock
-// pre-prepares in SNIPPETS.md): flush when the command-count or byte
-// bound fills, or when the oldest queued command has waited max_delay —
-// whichever comes first. The caller drives time explicitly (`now`), so
-// the builder works identically under the simulated clock and the real
-// one.
+// Accumulates encoded commands into size- and byte-bounded batches, then
+// seals each one with a single signature over the batch digest (cf. the
+// Logos BatchStateBlock pre-prepares in SNIPPETS.md). add() seals when
+// the command-count or byte bound fills; flush() seals a partial batch.
+// When to flush is the caller's choice: BatchClient flushes whenever it
+// has nothing more to release and a window slot is free (Nagle's rule,
+// RFC 896), so batches fill up only while the pipeline is busy. The
+// builder has no clock.
 
 #include <cstdint>
 #include <memory>
@@ -27,8 +27,8 @@ struct BatchBuilderConfig {
   std::size_t max_commands = 64;
   /// Byte bound on the accumulated command payload.
   std::size_t max_bytes = kMaxBatchBytes;
-  /// Time bound: flush_due(now) seals a partial batch once its oldest
-  /// command has waited this long. 0 disables the time bound.
+  /// Unused: nothing reads it. Kept only while benchmark/bla_bench.cpp
+  /// still assigns it.
   double max_delay = 0.0;
 };
 
@@ -40,14 +40,9 @@ public:
   /// Queues one encoded command; returns a sealed batch when the size or
   /// byte bound fills. Commands that could never be batched (empty,
   /// batch-magic-prefixed, oversized) are dropped and counted.
-  [[nodiscard]] std::optional<SignedCommandBatch> add(Value command,
-                                                      double now);
+  [[nodiscard]] std::optional<SignedCommandBatch> add(Value command);
 
-  /// Time-bound flush: seals the pending partial batch iff the oldest
-  /// queued command has waited ≥ max_delay.
-  [[nodiscard]] std::optional<SignedCommandBatch> flush_due(double now);
-
-  /// Unconditional flush of whatever is pending (used at end-of-stream).
+  /// Seals whatever is pending, if anything.
   [[nodiscard]] std::optional<SignedCommandBatch> flush();
 
   [[nodiscard]] std::size_t pending_commands() const {
@@ -67,7 +62,6 @@ private:
   std::shared_ptr<const crypto::ISigner> signer_;
   std::vector<Value> pending_;
   std::size_t pending_bytes_ = 0;
-  double oldest_enqueue_time_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t batches_sealed_ = 0;
   std::uint64_t commands_dropped_ = 0;

@@ -22,37 +22,56 @@ BatchClient::BatchClient(Config config,
       builder_(with_proposer(config.builder, config.self), std::move(signer)),
       pipeline_(BatchProposer::Config{config.max_in_flight, config.f + 1,
                                       config.self, registry_, config.retry}),
-      queue_(commands.begin(), commands.end()),
-      total_commands_(commands.size()) {}
+      commands_(std::move(commands)) {}
 
 void BatchClient::on_start(net::IContext& ctx) {
   registry_->trace_event(config_.self, obs::EventKind::kSubmit,
-                         total_commands_);
+                         commands_.size());
   if (paced()) {
-    pace_allowance_ = config_.pace_commands;
-    ctx.schedule(config_.pace_interval, 1);
+    t0_ = ctx.now();
+    due_to_confirm_ = registry_->histogram("latency/due_to_confirm");
   }
   pump(ctx);
   maybe_finish(ctx);
+  if (paced()) schedule_tick(ctx);
   if (config_.retry.enabled && !done()) {
     ctx.schedule(config_.retry.tick, 0);
   }
 }
 
+std::size_t BatchClient::releasable() const {
+  if (!paced()) return commands_.size();
+  const std::uint64_t slots = tick_ + 1;
+  return slots > commands_.size() / config_.pace_commands
+             ? commands_.size()
+             : static_cast<std::size_t>(slots) * config_.pace_commands;
+}
+
+void BatchClient::schedule_tick(net::IContext& ctx) {
+  if (done() || released_ == commands_.size()) return;
+  const double next =
+      t0_ + static_cast<double>(tick_ + 1) * config_.pace_interval;
+  ctx.schedule(std::max(0.0, next - ctx.now()), 1);
+}
+
 void BatchClient::on_timer(net::IContext& ctx, std::uint64_t token) {
   if (token == 1) {
-    // Pacing tick: refill the allowance (no carry-over — a stalled
-    // pipeline must not bank a burst) and release the next slice.
+    // Pacing tick: every tick up to now has come, so a late timer
+    // releases all of their commands. The 1e-9 absorbs rounding in the
+    // runtime's now() + delay; the max keeps a timer that fires on time
+    // from reading as one tick early.
     if (done() || !paced()) return;
-    pace_allowance_ = config_.pace_commands;
+    const double ticks = (ctx.now() - t0_) / config_.pace_interval + 1e-9;
+    tick_ = std::max(tick_ + 1, static_cast<std::uint64_t>(ticks));
     pump(ctx);
     maybe_finish(ctx);
-    if (!done() && !queue_.empty()) ctx.schedule(config_.pace_interval, 1);
+    schedule_tick(ctx);
     return;
   }
   // Letting the chain end at done() is what lets simulations quiesce
   // with retry enabled.
   if (!config_.retry.enabled || done()) return;
+  const std::uint64_t abandoned = pipeline_.batches_abandoned();
   for (BatchProposer::Retransmit& rt : pipeline_.due(ctx.now())) {
     // Widen the contact set by one replica per attempt: the original
     // f+1 may all sit behind a partition or include a crashed replica.
@@ -62,6 +81,10 @@ void BatchClient::on_timer(net::IContext& ctx, std::uint64_t token) {
       ctx.send(replica, rt.frame);
     }
   }
+  if (pipeline_.batches_abandoned() != abandoned) {
+    std::erase_if(in_flight_due_,
+                  [&](const auto& kv) { return !pipeline_.holds(kv.first); });
+  }
   pump(ctx);          // give-ups may have freed window slots
   maybe_finish(ctx);  // ...or drained the pipeline entirely
   if (!done()) ctx.schedule(config_.retry.tick, 0);
@@ -69,7 +92,7 @@ void BatchClient::on_timer(net::IContext& ctx, std::uint64_t token) {
 
 void BatchClient::maybe_finish(net::IContext& ctx) {
   if (done()) return;
-  if (queue_.empty() && builder_.pending_commands() == 0 &&
+  if (released_ == commands_.size() && builder_.pending_commands() == 0 &&
       pipeline_.in_flight() == 0) {
     finish_time_ = ctx.now();
     done_.store(true, std::memory_order_release);
@@ -85,7 +108,7 @@ void BatchClient::on_message(net::IContext& ctx, NodeId from,
     if (type == core::MsgType::kRsmDecide) {
       const lattice::ValueSet decided = lattice::decode_value_set(dec);
       dec.expect_done();
-      pipeline_.on_decide_report(from, decided);
+      record_confirms(ctx, pipeline_.on_decide_report(from, decided));
     } else if (type == core::MsgType::kRsmDecideDigest) {
       const std::uint64_t count = dec.uvarint();
       if (count > lattice::kMaxSetElements) {
@@ -99,7 +122,7 @@ void BatchClient::on_message(net::IContext& ctx, NodeId from,
         decided.insert(d);
       }
       dec.expect_done();
-      pipeline_.on_decide_digest_report(from, decided);
+      record_confirms(ctx, pipeline_.on_decide_digest_report(from, decided));
     } else {
       return;
     }
@@ -111,32 +134,34 @@ void BatchClient::on_message(net::IContext& ctx, NodeId from,
 }
 
 void BatchClient::pump(net::IContext& ctx) {
+  // Nagle's rule: fill a batch with what may be released now, and seal
+  // it, full or not, while a window slot is free. Commands that may not
+  // be released yet wait for their pacing tick; commands beyond the
+  // window wait for a confirm, and then go out in full batches.
+  const std::size_t limit = releasable();
   while (pipeline_.can_submit()) {
     std::optional<SignedCommandBatch> sealed;
-    while (!queue_.empty() && !sealed) {
-      if (paced()) {
-        if (pace_allowance_ == 0) break;  // wait for the next pace tick
-        --pace_allowance_;
+    while (released_ < limit && !sealed) {
+      const std::uint64_t dropped = builder_.commands_dropped();
+      sealed = builder_.add(std::move(commands_[released_]));
+      if (paced() && builder_.commands_dropped() == dropped) {
+        builder_due_.push_back(due(released_));
       }
-      sealed = builder_.add(std::move(queue_.front()), ctx.now());
-      queue_.pop_front();
+      ++released_;
     }
-    if (!sealed) {
-      if (queue_.empty()) {
-        // End of stream: push the partial batch unconditionally. (The
-        // builder's time bound never fires on an unpaced client — the
-        // whole workload arrives upfront.)
-        sealed = builder_.flush();
-      } else {
-        // Paced and out of allowance mid-stream: only the time bound may
-        // seal the partial, so a trickle-rate workload still makes
-        // progress in max_delay-sized batches instead of waiting for a
-        // full one.
-        sealed = builder_.flush_due(ctx.now());
-      }
-    }
+    if (!sealed) sealed = builder_.flush();
     if (!sealed) return;
     submit(ctx, *sealed);
+  }
+}
+
+void BatchClient::record_confirms(net::IContext& ctx,
+                                  const std::vector<std::uint64_t>& seqs) {
+  for (const std::uint64_t seq : seqs) {
+    const auto it = in_flight_due_.find(seq);
+    if (it == in_flight_due_.end()) continue;
+    for (const double d : it->second) due_to_confirm_.observe(ctx.now() - d);
+    in_flight_due_.erase(it);
   }
 }
 
@@ -151,6 +176,14 @@ void BatchClient::submit(net::IContext& ctx, const SignedCommandBatch& b) {
                                ? wire::Bytes(enc.view().begin(),
                                              enc.view().end())
                                : wire::Bytes{});
+  if (paced()) {
+    // The builder is FIFO: the batch holds its oldest commands.
+    const auto end = builder_due_.begin() +
+                     static_cast<std::ptrdiff_t>(b.commands.size());
+    in_flight_due_.emplace(b.seq,
+                           std::vector<double>(builder_due_.begin(), end));
+    builder_due_.erase(builder_due_.begin(), end);
+  }
   // Alg. 5 line 3, batched: f+1 replicas, so at least one correct replica
   // proposes the batch.
   for (NodeId replica = 0;

@@ -180,6 +180,10 @@ public:
   }
 
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
+  /// Whether batch `seq` is in the window.
+  [[nodiscard]] bool holds(std::uint64_t seq) const {
+    return in_flight_.contains(seq);
+  }
   [[nodiscard]] std::size_t max_in_flight_seen() const {
     return max_in_flight_seen_;
   }

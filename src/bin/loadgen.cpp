@@ -19,14 +19,19 @@
 //
 // Latency comes from the client-side obs lifecycle: each batch is marked
 // at seal (handed to the f+1 fan-out) and confirm (f+1 replicas reported
-// it decided), so "latency/seal_to_confirm" is the end-to-end commit
-// latency a client observes. p50/p99 are read from the registry's
-// log-bucketed histogram — the same numbers to_json() exports.
+// it decided), so "latency/seal_to_confirm" is a batch's commit latency.
+// With --rate, each command also falls due on the client's pacing grid,
+// and "latency/due_to_confirm" times it from then to its batch's
+// confirm: the latency a user sees, waiting to seal included. p50/p99
+// are read from the registry's log-bucketed histograms — the same
+// numbers to_json() exports.
 //
 // Exit status: 0 iff every client finished with zero dropped and zero
 // failed commands inside the timeout.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -153,12 +158,11 @@ int main(int argc, char** argv) {
     cc.retry.max_attempts = 10;
     cc.retry.tick = 0.25;
     if (rate > 0.0) {
-      // Pace in 50ms slices; the builder's time bound seals partial
-      // batches so a slow rate still commits in max_delay, not never.
-      cc.pace_interval = 0.05;
-      cc.pace_commands =
-          static_cast<std::size_t>(rate * cc.pace_interval) + 1;
-      cc.builder.max_delay = 0.1;
+      // Ticks of about 50 ms, each releasing a whole number of commands,
+      // spaced so the client offers exactly `rate`.
+      cc.pace_commands = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::llround(rate * 0.05)));
+      cc.pace_interval = static_cast<double>(cc.pace_commands) / rate;
     }
     auto client = std::make_unique<batch::BatchClient>(
         cc, signers->signer_for(self), std::move(workload));
@@ -218,6 +222,8 @@ int main(int argc, char** argv) {
   const double throughput = wall > 0.0 ? committed / wall : 0.0;
   const auto lat =
       registry->histogram("latency/seal_to_confirm").snapshot();
+  const auto due =
+      registry->histogram("latency/due_to_confirm").snapshot();
   const bool ok = all_done && dropped == 0 && failed == 0;
 
   if (json) {
@@ -226,21 +232,28 @@ int main(int argc, char** argv) {
         "\"committed\": %llu, \"dropped\": %llu, \"failed\": %llu, "
         "\"wall_sec\": %.3f, \"commands_per_sec\": %.1f, "
         "\"latency_count\": %llu, \"latency_p50_ms\": %.3f, "
-        "\"latency_p99_ms\": %.3f}\n",
+        "\"latency_p99_ms\": %.3f, \"due_to_confirm_p50_ms\": %.3f, "
+        "\"due_to_confirm_p99_ms\": %.3f}\n",
         ok ? "true" : "false", clients,
         static_cast<unsigned long long>(submitted),
         static_cast<unsigned long long>(committed),
         static_cast<unsigned long long>(dropped),
         static_cast<unsigned long long>(failed), wall, throughput,
         static_cast<unsigned long long>(lat.count),
-        lat.quantile(0.5) * 1e3, lat.quantile(0.99) * 1e3);
+        lat.quantile(0.5) * 1e3, lat.quantile(0.99) * 1e3,
+        due.quantile(0.5) * 1e3, due.quantile(0.99) * 1e3);
   } else {
     std::printf("loadgen: %s — %llu/%llu commands committed in %.2fs "
-                "(%.1f cmd/s), batch commit p50=%.2fms p99=%.2fms\n",
+                "(%.1f cmd/s), batch commit p50=%.2fms p99=%.2fms",
                 ok ? "ok" : "FAILED",
                 static_cast<unsigned long long>(committed),
                 static_cast<unsigned long long>(submitted), wall, throughput,
                 lat.quantile(0.5) * 1e3, lat.quantile(0.99) * 1e3);
+    if (due.count > 0) {
+      std::printf(", due->confirm p50=%.2fms p99=%.2fms",
+                  due.quantile(0.5) * 1e3, due.quantile(0.99) * 1e3);
+    }
+    std::printf("\n");
   }
   return ok ? 0 : 1;
 }

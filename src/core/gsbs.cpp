@@ -602,13 +602,25 @@ void GsbsProcess::on_init(NodeId from, wire::Decoder& dec,
   }
   if (sb.signer != from) return;  // INIT commits the *sender's* batch
   if (!safety_.verify_item(sb)) return;
-  safety_.index_signed(init_seen_[sb.round], sb);
   note_round(from, sb.round);
+  if (!admits(init_seen_, sb.signer, sb.round)) return;
+  safety_.index_signed(init_seen_[sb.round], sb);
   if (sb.round == round_) maybe_enter_safetying();
   // §8.2 catch-up: hand a lagging proposer the certificate that ended its
   // round so it can adopt and skip forward — its own next-round INIT then
   // elicits the next certificate, message-driven.
   if (lags(sb.round)) send_cert_if_held(sb.round, from);
+}
+
+bool GsbsProcess::admits(const RoundIndex& index, NodeId signer,
+                         std::uint64_t round) const {
+  if (round <= round_) return true;
+  const auto at = index.find(round);
+  if (at != index.end() && at->second.contains(signer)) return true;
+  const auto held = std::count_if(
+      index.upper_bound(round_), index.end(),
+      [&](const auto& entry) { return entry.second.contains(signer); });
+  return static_cast<std::size_t>(held) < kMaxFutureRoundsPerSigner;
 }
 
 void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
@@ -629,12 +641,20 @@ void GsbsProcess::on_safe_req(NodeId from, wire::Decoder& dec,
   }
   if (!safety_.all_signed(set, round)) return;
   note_round(from, round);
+  if (!std::ranges::all_of(set, [&](const SignedBatch& sb) {
+        return admits(candidate_seen_, sb.signer, round);
+      })) {
+    return;
+  }
 
   BatchSafeAck ack;
   ack.acceptor = config_.self;
   ack.round = round;
   ack.received = set;
-  ack.conflicts = safety_.return_conflicts(candidate_seen_[round], set);
+  auto& candidates = candidate_seen_[round];
+  ack.conflicts = safety_.return_conflicts(candidates, set);
+  // An empty request indexes nothing; leave no empty round behind.
+  if (candidates.empty()) candidate_seen_.erase(round);
   obs_conflicts_listed_.inc(ack.conflicts.size());
   ack.signature = signer_->sign(safety_.rules().ack_bytes(ack));
 

@@ -179,10 +179,22 @@ public:
 
   [[nodiscard]] std::uint64_t trusted_round() const { return safe_r_; }
 
+  /// Rounds above round_ in which one signer may hold entries of a
+  /// per-round conflict index (INITs seen, safe-req candidates). A
+  /// correct signer runs at most a round or two ahead of a replica that
+  /// keeps up; past the cap, a signer's INITs and the safe-reqs carrying
+  /// its batches for further rounds are dropped, unanswered.
+  static constexpr std::size_t kMaxFutureRoundsPerSigner = 64;
+  /// Rounds held by the two per-round conflict indices together.
+  [[nodiscard]] std::size_t indexed_rounds() const {
+    return init_seen_.size() + candidate_seen_.size();
+  }
+
 private:
   enum class State { kIdle, kInit, kSafetying, kProposing, kStopped };
 
   using ProposalMap = ProvenMap<SignedBatch, BatchSafeAck>;
+  using RoundIndex = std::map<std::uint64_t, BySigner<SignedBatch>>;
 
   // -- signing bytes and digests, over content keys (see the header
   // note), never value encodings ----------------------------------------
@@ -243,6 +255,13 @@ private:
   /// a peer one round behind it may need the certificate to leave kInit
   /// at all (the frames it lost were sent once).
   [[nodiscard]] bool lags(std::uint64_t round) const;
+  /// Whether `signer` may hold an entry in `index` at `round`: any round
+  /// up to round_ (checkpoints prune those), and a round above it only
+  /// within kMaxFutureRoundsPerSigner. Refusing, never evicting, keeps an
+  /// acceptor's conflict knowledge monotone: a batch it ever safe-acked
+  /// stays indexed until its round is pruned.
+  [[nodiscard]] bool admits(const RoundIndex& index, NodeId signer,
+                            std::uint64_t round) const;
   /// Decides a certificate-proven union for round_ and moves to the next
   /// round, which starts at once if the decision grew the decided set or
   /// the replica was `left_behind` (see adopt_cert).
@@ -290,7 +309,7 @@ private:
   std::uint64_t ts_ = 0;
 
   // Per-round init collections: signer -> distinct signed batches seen.
-  std::map<std::uint64_t, BySigner<SignedBatch>> init_seen_;
+  RoundIndex init_seen_;
   std::vector<SignedBatch> safety_snapshot_;
   std::map<NodeId, BatchSafeAck> safe_acks_;
 
@@ -300,7 +319,7 @@ private:
   std::vector<SignedAck> collected_acks_;
 
   // Acceptor state.
-  std::map<std::uint64_t, BySigner<SignedBatch>> candidate_seen_;
+  RoundIndex candidate_seen_;
   ProposalMap accepted_;
   std::uint64_t safe_r_ = 0;
   std::map<std::uint64_t, DecidedCert> certs_;  // well-formed, by round

@@ -1,16 +1,21 @@
 // src/batch/ pipeline tests: SignedCommandBatch wire round-trips
 // (including truncated and corrupted frames), builder sealing policy,
 // batch-aware verification with the digest cache, pipeline backpressure,
-// and the batched submission path end-to-end through the RSM on both the
-// GWTS and GSbS engines.
+// the paced client's sealing and pacing grid, and the batched submission
+// path end-to-end through the RSM on both the GWTS and GSbS engines.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
 
 #include "batch/batch.hpp"
 #include "batch/builder.hpp"
 #include "batch/client.hpp"
 #include "batch/proposer.hpp"
 #include "batch/verifier.hpp"
+#include "net/delay_model.hpp"
+#include "obs/registry.hpp"
 #include "rsm/command.hpp"
 #include "testutil/batch_scenario.hpp"
 
@@ -38,7 +43,7 @@ using testutil::BatchRsmScenarioOptions;
   BatchBuilder builder(cfg, signers.signer_for(proposer));
   std::optional<SignedCommandBatch> sealed;
   for (std::size_t i = 0; i < commands; ++i) {
-    sealed = builder.add(make_command(proposer, i), /*now=*/0.0);
+    sealed = builder.add(make_command(proposer, i));
   }
   EXPECT_TRUE(sealed.has_value());
   return *sealed;
@@ -176,9 +181,9 @@ TEST(BatchBuilderTest, SealsAtSizeBound) {
   for (int round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < 3; ++i) {
       EXPECT_FALSE(
-          builder.add(make_command(0, round * 4 + i), 0.0).has_value());
+          builder.add(make_command(0, round * 4 + i)).has_value());
     }
-    const auto sealed = builder.add(make_command(0, round * 4 + 3), 0.0);
+    const auto sealed = builder.add(make_command(0, round * 4 + 3));
     ASSERT_TRUE(sealed.has_value());
     EXPECT_EQ(sealed->commands.size(), 4u);
     EXPECT_EQ(sealed->seq, static_cast<std::uint64_t>(round));
@@ -200,7 +205,7 @@ TEST(BatchBuilderTest, SealsAtByteBound) {
   std::optional<SignedCommandBatch> sealed;
   std::size_t added = 0;
   while (!sealed.has_value() && added < 100) {
-    sealed = builder.add(cmd, 0.0);
+    sealed = builder.add(cmd);
     ++added;
   }
   ASSERT_TRUE(sealed.has_value());
@@ -212,28 +217,12 @@ TEST(BatchBuilderTest, SealsAtByteBound) {
   EXPECT_EQ(builder.pending_commands(), added - sealed->commands.size());
 }
 
-TEST(BatchBuilderTest, TimeBoundFlushes) {
-  auto signers = crypto::make_hmac_signer_set(1, 1);
-  BatchBuilderConfig cfg;
-  cfg.proposer = 0;
-  cfg.max_commands = 100;
-  cfg.max_delay = 5.0;
-  BatchBuilder builder(cfg, signers->signer_for(0));
-
-  EXPECT_FALSE(builder.add(make_command(0, 0), /*now=*/10.0).has_value());
-  EXPECT_FALSE(builder.flush_due(12.0).has_value());  // only 2 elapsed
-  const auto sealed = builder.flush_due(15.0);
-  ASSERT_TRUE(sealed.has_value());
-  EXPECT_EQ(sealed->commands.size(), 1u);
-  EXPECT_FALSE(builder.flush_due(100.0).has_value());  // nothing pending
-}
-
 TEST(BatchBuilderTest, DropsUnbatchableCommands) {
   auto signers = crypto::make_hmac_signer_set(1, 1);
   BatchBuilder builder({.proposer = 0, .max_commands = 4},
                        signers->signer_for(0));
-  EXPECT_FALSE(builder.add(Value{}, 0.0).has_value());
-  EXPECT_FALSE(builder.add(Value{kBatchMagic, 1, 2}, 0.0).has_value());
+  EXPECT_FALSE(builder.add(Value{}).has_value());
+  EXPECT_FALSE(builder.add(Value{kBatchMagic, 1, 2}).has_value());
   EXPECT_EQ(builder.commands_dropped(), 2u);
   EXPECT_EQ(builder.pending_commands(), 0u);
 }
@@ -317,7 +306,7 @@ TEST(BatchProposerTest, WindowBlocksAtKAndFreesOnQuorum) {
   BatchBuilder builder(cfg, signers->signer_for(0));
   std::vector<SignedCommandBatch> batches;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    batches.push_back(*builder.add(make_command(0, i), 0.0));
+    batches.push_back(*builder.add(make_command(0, i)));
   }
 
   pipeline.mark_submitted(batches[0]);
@@ -339,6 +328,204 @@ TEST(BatchProposerTest, WindowBlocksAtKAndFreesOnQuorum) {
   EXPECT_TRUE(pipeline.on_decide_report(2, decided).empty());
   EXPECT_EQ(pipeline.commands_completed(), 1u);
   EXPECT_EQ(pipeline.max_in_flight_seen(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Paced client: Nagle sealing and the absolute pacing grid.
+// ---------------------------------------------------------------------------
+
+struct Seal {
+  double time = 0.0;
+  std::size_t commands = 0;
+};
+
+/// The client's batch seals, in order, from its registry's trace ring.
+[[nodiscard]] std::vector<Seal> seals_of(obs::Registry& registry) {
+  std::vector<Seal> out;
+  for (const obs::TraceEvent& ev : registry.trace().snapshot()) {
+    if (ev.kind == obs::EventKind::kBatchSeal) {
+      out.push_back({ev.time, static_cast<std::size_t>(ev.b)});
+    }
+  }
+  return out;
+}
+
+[[nodiscard]] std::vector<Value> workload(NodeId client, std::size_t count) {
+  std::vector<Value> out;
+  for (std::size_t k = 0; k < count; ++k) out.push_back(make_command(client, k));
+  return out;
+}
+
+/// Four GWTS replicas and one paced client (node 4) on the simulator,
+/// every link taking `link_delay`. The client's registry is the
+/// simulator's, so its trace is in simulated time.
+struct PacedCluster {
+  std::shared_ptr<obs::Registry> registry = std::make_shared<obs::Registry>();
+  net::SimNetwork net;
+  BatchClient* client = nullptr;
+
+  PacedCluster(BatchClient::Config cc, std::size_t commands,
+               double link_delay)
+      : net({.seed = 1,
+             .delay = std::make_unique<net::ConstantDelay>(link_delay),
+             .registry = registry}) {
+    auto signers = crypto::make_hmac_signer_set(5, 1);
+    for (net::NodeId id = 0; id < 4; ++id) {
+      rsm::ReplicaConfig rc;
+      rc.self = id;
+      rc.n = 4;
+      rc.f = 1;
+      rc.max_rounds = 200;
+      rc.signer = signers->signer_for(id);
+      rc.digest_decide_notifications = true;
+      net.add_process(std::make_unique<rsm::RsmReplica>(rc));
+    }
+    cc.self = 4;
+    cc.n = 4;
+    cc.f = 1;
+    cc.registry = registry;
+    auto owned = std::make_unique<BatchClient>(cc, signers->signer_for(4),
+                                               workload(4, commands));
+    client = owned.get();
+    net.add_process(std::move(owned));
+  }
+};
+
+TEST(PacedClient, BelowCapacitySealsEachTickAtItsDueTime) {
+  // A batch commits in a few dozen time units, far inside one 200-unit
+  // tick, so the window always has room: each tick's three commands
+  // are sealed the moment they fall due, not when B = 16 fills.
+  BatchClient::Config cc;
+  cc.builder.max_commands = 16;
+  cc.max_in_flight = 4;
+  cc.pace_interval = 200.0;
+  cc.pace_commands = 3;
+  PacedCluster rig(cc, 30, 1.0);
+  rig.net.run(400'000'000, [&] { return rig.client->done(); });
+  ASSERT_TRUE(rig.client->done());
+
+  const std::vector<Seal> seals = seals_of(*rig.registry);
+  ASSERT_EQ(seals.size(), 10u);
+  for (std::size_t k = 0; k < seals.size(); ++k) {
+    EXPECT_EQ(seals[k].commands, 3u) << "tick " << k;
+    EXPECT_DOUBLE_EQ(seals[k].time, 200.0 * static_cast<double>(k))
+        << "tick " << k;
+  }
+  // One due→confirm sample per command, each shorter than a tick.
+  const auto due = rig.registry->histogram("latency/due_to_confirm").snapshot();
+  EXPECT_EQ(due.count, 30u);
+  EXPECT_LT(due.max, 200.0);
+}
+
+TEST(PacedClient, BacklogBehindAFullWindowDrainsInFullBatches) {
+  // K = 1 and 10-unit links: a batch is in flight for many 5-unit ticks,
+  // so commands pile up behind it and leave in batches of B = 8 each
+  // time the one slot frees.
+  BatchClient::Config cc;
+  cc.builder.max_commands = 8;
+  cc.max_in_flight = 1;
+  cc.pace_interval = 5.0;
+  cc.pace_commands = 2;
+  PacedCluster rig(cc, 42, 10.0);
+  rig.net.run(400'000'000, [&] { return rig.client->done(); });
+  ASSERT_TRUE(rig.client->done());
+
+  const std::vector<Seal> seals = seals_of(*rig.registry);
+  ASSERT_GE(seals.size(), 3u);
+  EXPECT_EQ(seals.front().commands, 2u);  // tick 0, empty window
+  std::size_t total = seals.front().commands;
+  for (std::size_t i = 1; i + 1 < seals.size(); ++i) {
+    EXPECT_EQ(seals[i].commands, 8u) << "batch " << i;
+    total += seals[i].commands;
+  }
+  EXPECT_LE(seals.back().commands, 8u);
+  EXPECT_EQ(total + seals.back().commands, 42u);
+}
+
+/// A runtime for a lone client: sends go nowhere, and the n-th timer
+/// armed fires `late(n)` after the delay it asked for.
+class LateTimerContext final : public net::IContext {
+public:
+  explicit LateTimerContext(std::function<double(std::size_t)> late)
+      : late_(std::move(late)) {}
+
+  void send(NodeId, wire::Bytes) override {}
+  void broadcast(wire::Bytes) override {}
+  [[nodiscard]] NodeId self() const override { return 4; }
+  [[nodiscard]] std::size_t node_count() const override { return 4; }
+  [[nodiscard]] double now() const override { return now_; }
+  void schedule(double delay, std::uint64_t token) override {
+    timers_.emplace(now_ + delay + late_(armed_++), token);
+  }
+
+  /// Fires the earliest timer at its time; false when none is armed.
+  bool fire_next(net::IProcess& process) {
+    if (timers_.empty()) return false;
+    const auto [time, token] = *timers_.begin();
+    timers_.erase(timers_.begin());
+    now_ = time;
+    process.on_timer(*this, token);
+    return true;
+  }
+
+private:
+  std::function<double(std::size_t)> late_;
+  std::multimap<double, std::uint64_t> timers_;
+  std::size_t armed_ = 0;
+  double now_ = 0.0;
+};
+
+/// A paced client with no confirmations to wait for: its window outlasts
+/// the workload, so only the pacing grid decides when it seals.
+[[nodiscard]] std::unique_ptr<BatchClient> lone_paced_client(
+    std::shared_ptr<obs::Registry> registry, std::size_t commands) {
+  auto signers = crypto::make_hmac_signer_set(5, 1);
+  BatchClient::Config cc;
+  cc.self = 4;
+  cc.n = 4;
+  cc.f = 1;
+  cc.builder.max_commands = 16;
+  cc.max_in_flight = commands;
+  cc.registry = std::move(registry);
+  cc.pace_interval = 0.05;
+  cc.pace_commands = 2;
+  return std::make_unique<BatchClient>(cc, signers->signer_for(4),
+                                       workload(4, commands));
+}
+
+TEST(PacedClient, LateTimersDoNotAccumulateDrift) {
+  // Every timer fires 1 ms late. Re-arming relative to the firing would
+  // put tick 100 about 100 ms behind the grid; the absolute grid keeps
+  // every tick within its own 1 ms.
+  auto registry = std::make_shared<obs::Registry>();
+  auto client = lone_paced_client(registry, 2 * 101);
+  LateTimerContext ctx([](std::size_t) { return 0.001; });
+  client->on_start(ctx);  // t0 = 0
+  for (int k = 1; k <= 100; ++k) {
+    ASSERT_TRUE(ctx.fire_next(*client));
+    EXPECT_NEAR(ctx.now(), 0.05 * k, 0.001 + 1e-9) << "tick " << k;
+  }
+  EXPECT_EQ(seals_of(*registry).size(), 101u);
+}
+
+TEST(PacedClient, ALateTickReleasesEverySlotThatCame) {
+  // The first pacing tick fires three intervals late, at t0 + 4·interval:
+  // the commands of ticks 1-4 have all fallen due by then, and go out
+  // together.
+  auto registry = std::make_shared<obs::Registry>();
+  auto client = lone_paced_client(registry, 40);
+  LateTimerContext ctx([](std::size_t n) { return n == 0 ? 0.15 : 0.0; });
+  client->on_start(ctx);
+  ASSERT_TRUE(ctx.fire_next(*client));
+  EXPECT_NEAR(ctx.now(), 0.2, 1e-12);
+  const std::vector<Seal> seals = seals_of(*registry);
+  ASSERT_EQ(seals.size(), 2u);
+  EXPECT_EQ(seals[0].commands, 2u);      // tick 0
+  EXPECT_EQ(seals[1].commands, 4u * 2u);  // ticks 1-4
+  // The grid holds: the next tick is tick 5, at t0 + 5·interval.
+  ASSERT_TRUE(ctx.fire_next(*client));
+  EXPECT_NEAR(ctx.now(), 0.25, 1e-12);
+  EXPECT_EQ(seals_of(*registry).back().commands, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -408,6 +408,64 @@ TEST(Gsbs, FarFutureAckReqFloodLeavesEveryValueDecided) {
   check_gla_properties(fx, 1, kRounds, kRounds + 2);
 }
 
+/// A Byzantine signer's cheapest way at the per-round conflict indices:
+/// a validly signed INIT, and a safe-req carrying it, for each of 10 000
+/// future rounds and for 100 rounds from 2^62, sent at t = 0 to every
+/// correct replica.
+class FutureRoundSigner final : public net::IProcess {
+public:
+  explicit FutureRoundSigner(std::shared_ptr<const crypto::ISigner> signer)
+      : signer_(std::move(signer)) {}
+
+  void on_start(net::IContext& ctx) override {
+    std::vector<std::uint64_t> rounds;
+    for (std::uint64_t r = 1; r <= 10'000; ++r) rounds.push_back(r);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+      rounds.push_back((std::uint64_t{1} << 62) + k);
+    }
+    for (const std::uint64_t round : rounds) {
+      ValueSet batch;
+      batch.insert(lattice::value_from("future-" + std::to_string(round)));
+      const wire::Bytes signature =
+          signer_->sign(batch_signing_bytes(ctx.self(), round, batch));
+      const wire::Bytes init = init_frame(ctx.self(), round, batch, signature);
+      wire::Encoder req;
+      req.u8(static_cast<std::uint8_t>(MsgType::kGsbsSafeReq));
+      req.u64(round);
+      req.uvarint(1);
+      req.raw(wire::BytesView(init).subspan(1));  // the signed batch
+      const wire::Bytes safe_req = req.take();
+      for (net::NodeId to = 0; to < 3; ++to) {
+        ctx.send(to, init);
+        ctx.send(to, safe_req);
+      }
+    }
+  }
+  void on_message(net::IContext&, NodeId, wire::BytesView) override {}
+
+private:
+  std::shared_ptr<const crypto::ISigner> signer_;
+};
+
+TEST(Gsbs, FutureRoundFloodLeavesConflictIndicesBounded) {
+  constexpr std::uint64_t kRounds = 6;
+  auto signers = crypto::make_hmac_signer_set(4, 5);
+  GsbsFixture fx(4, 1, kRounds, 5, [&](net::NodeId id) {
+    return std::make_unique<FutureRoundSigner>(signers->signer_for(id));
+  });
+  fx.net.run();
+  // The fixture's signer set has the same seed, so the flood verifies;
+  // only the cap bounds what it holds: per index, the signer's capped
+  // future rounds plus the rounds the run itself indexed.
+  for (const GsbsProcess* proc : fx.correct) {
+    EXPECT_LE(proc->indexed_rounds(),
+              2 * (GsbsProcess::kMaxFutureRoundsPerSigner + kRounds + 2));
+  }
+  // A flood round the run reached may carry the signer's batch into a
+  // decision: one value per round, within the budget below.
+  check_gla_properties(fx, 1, kRounds, kRounds + 2);
+}
+
 TEST(Gsbs, HonestAckReqParkedBehindAFloodIsStillAnswered) {
   // With n - f correct replicas in lock-step, an honest ack-req for a
   // round its acceptor does not trust yet needs a schedule that delivers
