@@ -33,6 +33,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "fault/fault.hpp"
 #include "net/cluster_config.hpp"
@@ -100,6 +101,9 @@ int main(int argc, char** argv) {
 
   const auto self = static_cast<net::NodeId>(id);
   auto registry = std::make_shared<obs::Registry>();
+  // Which SHA-256 kernel this replica's measurements ran on.
+  registry->gauge("crypto/sha256_hw")
+      .set(crypto::sha256_kernel() == "sha-ni" ? 1.0 : 0.0);
 
   // Every process derives the same deterministic signer set from the
   // shared (scheme, seed) — the config file is the key ceremony. The set

@@ -1,6 +1,7 @@
 #pragma once
 // SHA-256 (FIPS 180-4), implemented from scratch and validated against the
-// NIST test vectors in tests/crypto_sha_test.cpp.
+// NIST test vectors in tests/crypto_sha_test.cpp. The compression step runs
+// on the CPU's SHA extensions where it has them (sha256_blocks.hpp).
 
 #include <array>
 #include <cstdint>
@@ -39,8 +40,6 @@ public:
   }
 
 private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_ = 0;
@@ -48,5 +47,8 @@ private:
 };
 
 [[nodiscard]] wire::Bytes to_bytes(const Sha256::Digest& d);
+
+/// The compression kernel this process runs: "sha-ni" or "portable".
+[[nodiscard]] std::string_view sha256_kernel();
 
 }  // namespace bla::crypto

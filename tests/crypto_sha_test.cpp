@@ -1,10 +1,14 @@
 // SHA-256 / SHA-512 / HMAC-SHA-256 against published test vectors
-// (FIPS 180-4 examples, RFC 4231).
+// (FIPS 180-4 examples, RFC 4231), and each SHA-256 compression kernel
+// (portable, SHA-NI) against the vectors and against the other.
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_blocks.hpp"
 #include "crypto/sha512.hpp"
 #include "wire/wire.hpp"
 
@@ -42,22 +46,21 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// n 'a' bytes at every length where the padding changes shape: 55 leaves
+// room for 0x80 and the length in one block, 56 and 63 spill into a second
+// block, 64/119/120 repeat the cases one block later. Expected values from
+// Python's hashlib.sha256(b"a" * n).
+constexpr std::pair<std::size_t, const char*> kPaddingCases[] = {
+    {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+    {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+    {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+    {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+    {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+    {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+};
+
 TEST(Sha256, PaddingBoundaries) {
-  // n 'a' bytes at every length where the padding changes shape: 55
-  // leaves room for 0x80 and the length in one block, 56 and 63 spill
-  // into a second block, 64/119/120 repeat the cases one block later.
-  // Expected values from Python's hashlib.sha256(b"a" * n).
-  const std::pair<std::size_t, const char*> cases[] = {
-      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
-      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
-      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
-      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
-      {119,
-       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
-      {120,
-       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
-  };
-  for (const auto& [n, expected] : cases) {
+  for (const auto& [n, expected] : kPaddingCases) {
     EXPECT_EQ(hex256(Sha256::hash(std::string(n, 'a'))), expected)
         << "n=" << n;
   }
@@ -84,6 +87,175 @@ TEST(Sha256, ReusableAfterFinish) {
   h.update("abc");
   EXPECT_EQ(hex256(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- Each compression kernel on its own -----------------------------------
+
+std::span<const std::uint8_t> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+// SHA-256 of `msg` through one block kernel. The FIPS 180-4 padding is
+// written out here, apart from Sha256::finish, so a kernel is checked
+// without the streaming code that normally feeds it.
+Sha256::Digest digest_with(detail::Sha256Blocks blocks,
+                           std::span<const std::uint8_t> msg) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  wire::Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  blocks(state, padded.data(), padded.size() / 64);
+  Sha256::Digest out{};
+  for (int i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+// HMAC-SHA-256 (RFC 2104) over digest_with, for keys of at most 64 bytes.
+Sha256::Digest hmac_with(detail::Sha256Blocks blocks,
+                         std::span<const std::uint8_t> key,
+                         std::span<const std::uint8_t> msg) {
+  wire::Bytes inner(64, 0x36);
+  wire::Bytes outer(64, 0x5c);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    inner[i] ^= key[i];
+    outer[i] ^= key[i];
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const Sha256::Digest inner_digest = digest_with(blocks, inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return digest_with(blocks, outer);
+}
+
+wire::Bytes random_bytes(std::size_t n, std::mt19937_64& rng) {
+  wire::Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+enum class Kernel { kPortable, kShaNi };
+
+// The hardware kernel, or a skip naming the missing CPU feature.
+class Sha256KernelTest : public ::testing::TestWithParam<Kernel> {
+protected:
+  void SetUp() override {
+    if (GetParam() == Kernel::kPortable) {
+      blocks_ = &detail::sha256_blocks_portable;
+      return;
+    }
+    blocks_ = detail::sha256_blocks_hw();
+    if (blocks_ == nullptr) {
+      GTEST_SKIP() << "this CPU lacks the x86-64 SHA extensions (sha_ni)";
+    }
+  }
+
+  [[nodiscard]] std::string hash(std::string_view msg) const {
+    return hex256(digest_with(blocks_, bytes_of(msg)));
+  }
+
+  detail::Sha256Blocks blocks_ = nullptr;
+};
+
+TEST_P(Sha256KernelTest, FipsExamples) {
+  EXPECT_EQ(hash(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hash("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST_P(Sha256KernelTest, PaddingBoundaries) {
+  for (const auto& [n, expected] : kPaddingCases) {
+    EXPECT_EQ(hash(std::string(n, 'a')), expected) << "n=" << n;
+  }
+}
+
+TEST_P(Sha256KernelTest, MillionAs) {
+  EXPECT_EQ(hash(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256KernelTest, HmacRfc4231) {
+  const auto hex_hmac = [&](const wire::Bytes& key, const wire::Bytes& msg) {
+    return hex256(hmac_with(blocks_, key, msg));
+  };
+  const auto b = [](std::string_view s) {
+    return wire::Bytes(s.begin(), s.end());
+  };
+  EXPECT_EQ(hex_hmac(wire::Bytes(20, 0x0b), b("Hi There")),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(hex_hmac(b("Jefe"), b("what do ya want for nothing?")),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(hex_hmac(wire::Bytes(20, 0xaa), wire::Bytes(50, 0xdd)),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  // Case 6: the 131-byte key is hashed to 32 bytes first.
+  const auto key6 = digest_with(blocks_, wire::Bytes(131, 0xaa));
+  EXPECT_EQ(hex256(hmac_with(
+                blocks_, key6,
+                bytes_of("Test Using Larger Than Block-Size Key - Hash Key "
+                         "First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256KernelTest,
+    ::testing::Values(Kernel::kPortable, Kernel::kShaNi),
+    [](const ::testing::TestParamInfo<Kernel>& info) {
+      return info.param == Kernel::kPortable ? "portable" : "sha_ni";
+    });
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomInputUpTo1024Bytes) {
+  const detail::Sha256Blocks hw = detail::sha256_blocks_hw();
+  if (hw == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the x86-64 SHA extensions (sha_ni)";
+  }
+  std::mt19937_64 rng(26);
+  for (std::size_t n = 0; n <= 1024; ++n) {
+    const wire::Bytes msg = random_bytes(n, rng);
+    EXPECT_EQ(digest_with(hw, msg),
+              digest_with(&detail::sha256_blocks_portable, msg))
+        << "n=" << n;
+  }
+}
+
+// Sha256 itself, on whichever kernel this process picked, against the
+// portable reference: one update of every length up to 1 024 bytes, then
+// two updates split at every offset around the block boundaries.
+TEST(Sha256Dispatch, OneUpdateMatchesPortableUpTo1024Bytes) {
+  std::mt19937_64 rng(27);
+  for (std::size_t n = 0; n <= 1024; ++n) {
+    const wire::Bytes msg = random_bytes(n, rng);
+    EXPECT_EQ(Sha256::hash(msg),
+              digest_with(&detail::sha256_blocks_portable, msg))
+        << "n=" << n;
+  }
+}
+
+TEST(Sha256Dispatch, SplitUpdatesMatchPortableAtEveryOffset) {
+  std::mt19937_64 rng(28);
+  for (const std::size_t n : {0, 1, 63, 64, 65, 127, 128, 129, 1000}) {
+    const wire::Bytes msg = random_bytes(n, rng);
+    const auto expected = digest_with(&detail::sha256_blocks_portable, msg);
+    const std::span<const std::uint8_t> all(msg);
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 h;
+      h.update(all.first(split));
+      h.update(all.subspan(split));
+      EXPECT_EQ(h.finish(), expected) << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha256Dispatch, ReportsTheKernelItRuns) {
+  EXPECT_EQ(sha256_kernel(),
+            detail::sha256_blocks_hw() != nullptr ? "sha-ni" : "portable");
 }
 
 TEST(Sha512, EmptyString) {
